@@ -74,8 +74,8 @@ type revisionsSweep struct {
 }
 
 // fleetSweep is the fleet benchmark's BENCH_sweep block: the sharded
-// ingest path (router → hashed shards → group-commit log → per-shard
-// incremental analysis) measured end to end (ISSUE 10 acceptance
+// ingest path (in-process dispatch → hashed shards → group-commit log →
+// per-shard incremental analysis) measured end to end (ISSUE 10 acceptance
 // records QPS, ack latency, fsync amortization and report staleness
 // here).
 type fleetSweep struct {
@@ -354,7 +354,7 @@ func TestBenchSweepJSON(t *testing.T) {
 
 	// Fleet-scale ingest: the group-commit log vs the per-bundle-Sync
 	// store under the standard 64-uploader load, then the whole sharded
-	// fleet (router, shards, per-shard analysis) end to end. The same
+	// fleet (dispatch, shards, per-shard analysis) end to end. The same
 	// helpers back TestFleetGate's CI floors.
 	report.Entries = append(report.Entries, ingestSweepEntries(t)...)
 	report.Fleet, _ = fleetSweepBlock(t, benchSeed)

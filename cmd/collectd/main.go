@@ -33,9 +33,10 @@
 // history and what-if knobs. All debug-mux traffic is instrumented
 // with per-endpoint request counters and latency histograms.
 //
-// For fleet-scale ingest, -shards N splits the listener into N
-// in-process shards behind a hash(appID) router, each owning its apps'
-// store partition and analyzers, and -store-format seg switches the
+// For fleet-scale ingest, -shards N partitions the corpus into N
+// in-process shards by hash(appID): the one listener decodes each
+// bundle and hands it to the shard that owns its app, which keeps that
+// app's store partition and analyzers. -store-format seg switches the
 // durable store to the segmented binary log with group commit
 // (fsyncs are amortized across concurrent uploads). In sharded mode
 // the analysis surface is served through a fanout that delegates
@@ -84,7 +85,7 @@ func run() error {
 		out          = flag.String("out", ".", "directory for per-app corpus dumps on shutdown")
 		storeDir     = flag.String("store", "", "durable store directory: bundles are persisted as they arrive and reloaded on restart")
 		storeFormat  = flag.String("store-format", "jsonl", "durable store format: 'jsonl' (one JSONL file per app, one fsync per bundle) or 'seg' (segmented binary log with group commit — the fleet-scale format)")
-		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID) behind a router; each shard owns its apps' store partition and analyzers (1 = single server, no router)")
+		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID); each shard owns its apps' store partition and analyzers (with -store, shard i keeps its partition in <store>/shard-<i> when N > 1)")
 		parallelism  = flag.Int("parallelism", 0, "worker count for the shutdown corpus dump (0 = GOMAXPROCS, 1 = serial)")
 		faultSpec    = flag.String("faults", "", "chaos fault injection on received lines, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
 		maxLineBytes = flag.Int("max-line-bytes", 0, "reject serialized bundles over this size (0 = default 16 MiB)")
@@ -129,8 +130,8 @@ func run() error {
 		}
 		logger.Warn("CHAOS MODE: injecting faults on received lines", "spec", *faultSpec)
 	}
-	// baseOpts are the options every ingest server (the single one, or
-	// each shard) runs with; store and analysis hook are added per shard.
+	// baseOpts are the server-wide options, carried alike by every
+	// shard's list; store and analysis hook are added per shard.
 	baseOpts := func() []collect.ServerOption {
 		o := []collect.ServerOption{collect.WithLimits(collect.Limits{
 			MaxLineBytes: *maxLineBytes,
@@ -201,25 +202,14 @@ func run() error {
 		logger.Info("debug endpoints up", "addr", debug.Addr(), "paths", paths)
 	}
 
-	// ingestServer is the surface shared by the single server and the
-	// sharded router, so startup/shutdown below handle both.
-	type ingestServer interface {
-		Addr() string
-		Close() error
-		Stats() collect.ServerStats
-		Count() int
-		QuarantineCount() int
-		Apps() []string
-		Bundles(appID string) []*trace.TraceBundle
-	}
-	var srv ingestServer
 	var stores []collect.Store
 	defer func() {
 		for _, st := range stores {
 			st.Close()
 		}
 	}()
-	shardOpts := func(i int) ([]collect.ServerOption, error) {
+	var buildErr error
+	srv, err := collect.NewShardedServer(*addr, *shards, func(i int) []collect.ServerOption {
 		o := baseOpts()
 		if *storeDir != "" {
 			dir := *storeDir
@@ -228,7 +218,8 @@ func run() error {
 			}
 			store, err := newStore(dir)
 			if err != nil {
-				return nil, err
+				buildErr = errors.Join(buildErr, err)
+				return o
 			}
 			stores = append(stores, store)
 			o = append(o, collect.WithStore(store))
@@ -236,38 +227,19 @@ func run() error {
 		if len(svcs) > 0 {
 			o = append(o, collect.WithIngestHook(svcs[i].Notify))
 		}
-		return o, nil
+		return o
+	})
+	if err != nil {
+		return errors.Join(buildErr, err)
 	}
-	if *shards == 1 {
-		opts, err := shardOpts(0)
-		if err != nil {
-			return err
-		}
-		srv, err = collect.NewServer(*addr, opts...)
-		if err != nil {
-			return err
-		}
-	} else {
-		var buildErr error
-		ss, err := collect.NewShardedServer(*addr, *shards, func(i int) []collect.ServerOption {
-			o, err := shardOpts(i)
-			if err != nil && buildErr == nil {
-				buildErr = err
-			}
-			return o
-		})
-		if buildErr != nil {
-			return buildErr
-		}
-		if err != nil {
-			return err
-		}
-		srv = ss
+	if buildErr != nil {
+		srv.Close()
+		return buildErr
 	}
 	// Warm the analysis services from the restored stores so reports are
 	// available before the first new upload arrives. Each app warms the
-	// service of the shard that owns it — the same partition the router
-	// enforces for live traffic.
+	// service of the shard that owns it — the same partition live
+	// traffic is dispatched by.
 	if len(svcs) > 0 && srv.Count() > 0 {
 		for _, app := range srv.Apps() {
 			svc := svcs[collect.ShardOf(app, *shards)]

@@ -20,8 +20,8 @@ import (
 //     hammering one SegStore-backed server, fsyncs-per-bundle must stay
 //     under 0.25 and throughput at least 5x the per-bundle-Sync
 //     FileStore baseline.
-//   - The whole sharded fleet (router → shards → group-commit log →
-//     per-shard analysis) sustains its floors end to end: every session
+//   - The whole sharded fleet (in-process dispatch → shards →
+//     group-commit log → per-shard analysis) sustains its floors end to end: every session
 //     accepted exactly once, QPS above floor, p99 report staleness
 //     bounded.
 //

@@ -172,7 +172,7 @@ type Log struct {
 	// write offset are owned by the commit leader under ioMu; nothing
 	// ever waits on ioMu while holding mu.
 	mu         sync.Mutex
-	idle       sync.Cond // signaled when committing drops to false
+	idle       sync.Cond // signaled when committing or compacting drops to false
 	index      map[string]recRef
 	segs       []segInfo // replay order; last is active
 	queue      []*pendingOp
@@ -187,6 +187,18 @@ type Log struct {
 	f        *os.File
 	curName  string
 	curBytes int64
+
+	// pin keeps segment files in place while they are read: Scan holds
+	// it for read from its snapshot to its last file read, and
+	// compaction holds it for write while it repoints the index at the
+	// compacted copy and deletes the originals. Taken before mu, never
+	// while holding it.
+	pin sync.RWMutex
+
+	// Test seams, nil in production. scanHook runs in Scan between the
+	// snapshot and the first file read; compactHook runs in compaction
+	// once the compacted copy is durable, before the index swap.
+	scanHook, compactHook func()
 }
 
 // Open replays (and repairs) the log in dir, creating it if needed.
@@ -594,8 +606,12 @@ func (l *Log) rotateLocked() error {
 
 // Scan streams every live record (bundles and quarantine, not
 // tombstones) in replay order. The body slice is only valid during the
-// callback.
+// callback. Every record live at the start of the scan is delivered or
+// the scan fails: a concurrent compaction cannot delete the snapshot's
+// segments until the scan ends, so fn must not call Scan itself.
 func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
+	l.pin.RLock()
+	defer l.pin.RUnlock()
 	l.mu.Lock()
 	if l.closed {
 		l.mu.Unlock()
@@ -610,9 +626,13 @@ func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 		names[i] = s.name
 	}
 	l.mu.Unlock()
+	if l.scanHook != nil {
+		l.scanHook()
+	}
 
-	for _, name := range names {
-		err := l.scanFile(name, func(typ byte, key string, body []byte, off int64) error {
+	for i, name := range names {
+		sealed := i < len(names)-1
+		err := l.scanFile(name, sealed, func(typ byte, key string, body []byte, off int64) error {
 			ref, ok := live[key]
 			if !ok || ref.seg != name || ref.off != off {
 				return nil // superseded, tombstoned, or a stale copy
@@ -626,19 +646,16 @@ func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 	return nil
 }
 
-// errStopScan is a sentinel fn can return to stop scanFile early.
-var errStopScan = errors.New("seglog: stop scan")
-
-// scanFile reads one segment front to back. A torn or unparsable tail
-// ends the scan silently — for the active segment that is the write
-// frontier racing ahead of the index snapshot; sealed segments were
-// integrity-checked at Open.
-func (l *Log) scanFile(name string, fn func(typ byte, key string, body []byte, off int64) error) error {
+// scanFile reads one segment front to back. Its callers either hold
+// the pin or are the compaction that alone deletes segments, so a
+// missing file is an error, never "compacted away". In the active
+// segment a torn or unparsable tail ends the scan silently: that is the
+// write frontier racing ahead of the index snapshot. A sealed segment
+// was fully written and fsynced before it was sealed, so the same
+// damage there is corruption and fails the scan.
+func (l *Log) scanFile(name string, sealed bool, fn func(typ byte, key string, body []byte, off int64) error) error {
 	f, err := os.Open(l.segPath(name))
 	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil // compacted away mid-scan
-		}
 		return fmt.Errorf("seglog: %w", err)
 	}
 	defer f.Close()
@@ -646,24 +663,28 @@ func (l *Log) scanFile(name string, fn func(typ byte, key string, body []byte, o
 	r := bufReader(f)
 	for {
 		payload, err := binenc.ReadFrame(r, l.opts.MaxRecordBytes)
+		if err == io.EOF {
+			return nil
+		}
+		var typ byte
+		var key string
+		var body []byte
+		if err == nil {
+			typ, key, body, err = splitRecord(payload)
+		}
 		if err != nil {
-			if err == io.EOF || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, binenc.ErrCRCMismatch) {
+			if sealed {
+				return fmt.Errorf("%w: %s at offset %d: %v", ErrSealedTorn, name, off, err)
+			}
+			if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, binenc.ErrCRCMismatch) || errors.Is(err, ErrBadType) {
 				return nil
 			}
 			return fmt.Errorf("seglog: scan %s: %w", name, err)
 		}
-		size := int64(len(payload)) + binenc.FrameOverhead
-		typ, key, body, err := splitRecord(payload)
-		if err != nil {
-			return nil
-		}
 		if err := fn(typ, key, body, off); err != nil {
-			if errors.Is(err, errStopScan) {
-				return nil
-			}
 			return err
 		}
-		off += size
+		off += int64(len(payload)) + binenc.FrameOverhead
 	}
 }
 
@@ -722,13 +743,17 @@ func (l *Log) maybeAutoCompact() {
 	}
 	l.compacting = true
 	go func() {
-		defer func() {
-			l.mu.Lock()
-			l.compacting = false
-			l.mu.Unlock()
-		}()
+		defer l.endCompaction()
 		_ = l.compactOwned()
 	}()
+}
+
+// endCompaction clears the compacting flag and wakes a waiting Close.
+func (l *Log) endCompaction() {
+	l.mu.Lock()
+	l.compacting = false
+	l.idle.Broadcast()
+	l.mu.Unlock()
 }
 
 // Compact rewrites the live records of every sealed segment into one
@@ -744,11 +769,7 @@ func (l *Log) Compact() error {
 	}
 	l.compacting = true
 	l.mu.Unlock()
-	defer func() {
-		l.mu.Lock()
-		l.compacting = false
-		l.mu.Unlock()
-	}()
+	defer l.endCompaction()
 	return l.compactOwned()
 }
 
@@ -798,7 +819,7 @@ func (l *Log) compactOwned() error {
 	var dropped []string
 	var outOff int64
 	for _, name := range sealed {
-		err := l.scanFile(name, func(typ byte, key string, body []byte, off int64) error {
+		err := l.scanFile(name, true, func(typ byte, key string, body []byte, off int64) error {
 			src, ok := live[key]
 			if !ok || src.seg != name || src.off != off {
 				return nil // dead: superseded or tombstoned
@@ -836,12 +857,18 @@ func (l *Log) compactOwned() error {
 		os.Remove(tmp)
 		return fmt.Errorf("seglog: compact rename: %w", err)
 	}
+	if l.compactHook != nil {
+		l.compactHook()
+	}
 
 	// Repoint the index at the compacted copies, then delete the
-	// originals. A record tombstoned while compaction ran simply keeps
-	// its (now dangling) absence: the repoint checks the current ref
-	// still equals the copied one. A crash between rename and deletes
-	// leaves harmless duplicates — records are immutable per key.
+	// originals, all under the pin so no Scan is between its snapshot
+	// and its reads. A record tombstoned while compaction ran simply
+	// keeps its (now dangling) absence: the repoint checks the current
+	// ref still equals the copied one. A crash between rename and
+	// deletes leaves harmless duplicates — records are immutable per key.
+	l.pin.Lock()
+	defer l.pin.Unlock()
 	l.mu.Lock()
 	for _, m := range moves {
 		if cur, ok := l.index[m.key]; ok && cur == m.src {
@@ -895,9 +922,10 @@ func (l *Log) Stats() Stats {
 	return s
 }
 
-// Close waits for the in-flight commit batch to drain and closes the
-// active segment. Every previously acked record is already durable;
-// Appends racing Close fail with ErrClosed.
+// Close waits for the in-flight commit batch and any running
+// compaction to finish, then closes the active segment, so nothing
+// writes to the directory once Close returns. Every previously acked
+// record is already durable; Appends racing Close fail with ErrClosed.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	if l.closed {
@@ -905,7 +933,7 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	for l.committing {
+	for l.committing || l.compacting {
 		l.idle.Wait()
 	}
 	l.mu.Unlock()

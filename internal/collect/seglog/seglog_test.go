@@ -8,6 +8,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 )
 
 func open(t *testing.T, dir string, opts Options) *Log {
@@ -492,5 +493,144 @@ func TestEmptyAndMissingKeys(t *testing.T) {
 	}
 	if err := l.Append(42, "k", nil); !errors.Is(err, ErrBadType) {
 		t.Fatalf("want ErrBadType, got %v", err)
+	}
+}
+
+// TestCloseJoinsAutoCompaction parks a background compaction mid-run
+// and checks that Close waits for it: nothing may write to the log
+// directory once Close has returned.
+func TestCloseJoinsAutoCompaction(t *testing.T) {
+	dir := t.TempDir()
+	l := open(t, dir, Options{SegmentBytes: 256, AutoCompact: true, CompactRatio: 0.3})
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	l.compactHook = func() {
+		once.Do(func() { close(parked) })
+		<-release
+	}
+	for i := 0; ; i++ {
+		select {
+		case <-parked:
+		default:
+			if i == 1000 {
+				t.Fatal("no auto-compaction started")
+			}
+			mustAppend(t, l, fmt.Sprintf("k%d", i%3), "superseded over and over")
+			continue
+		}
+		break
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		close(release)
+		t.Fatalf("Close returned (err %v) while a compaction was still running", err)
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(release)
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := l.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d when Close returned, want the parked one finished", st.Compactions)
+	}
+	l2 := open(t, dir, Options{SegmentBytes: 256})
+	defer l2.Close()
+	if bundles, _ := collect(t, l2); len(bundles) != 3 {
+		t.Fatalf("live keys after reopen = %d, want 3", len(bundles))
+	}
+}
+
+// sealedLog returns a log holding keys k00..k19 at their third
+// generation, spread over several sealed segments.
+func sealedLog(t *testing.T) *Log {
+	t.Helper()
+	l := open(t, t.TempDir(), Options{SegmentBytes: 256})
+	t.Cleanup(func() { l.Close() })
+	for i := 0; i < 60; i++ {
+		mustAppend(t, l, fmt.Sprintf("k%02d", i%20), fmt.Sprintf("gen-%d", i/20))
+	}
+	if st := l.Stats(); st.Segments < 3 {
+		t.Fatalf("want several sealed segments, have %d segments", st.Segments)
+	}
+	return l
+}
+
+// TestScanPinsSegmentsAgainstCompaction runs a compaction between a
+// Scan's snapshot and its reads. The compaction may not delete the
+// segments the scan is about to read, so every live record arrives.
+func TestScanPinsSegmentsAgainstCompaction(t *testing.T) {
+	l := sealedLog(t)
+	done := make(chan error, 1)
+	var once sync.Once
+	l.scanHook = func() {
+		once.Do(func() {
+			go func() { done <- l.Compact() }()
+			// Let the compaction run to its end if nothing holds it.
+			select {
+			case err := <-done:
+				done <- err
+			case <-time.After(200 * time.Millisecond):
+			}
+		})
+	}
+	check := func() {
+		t.Helper()
+		bundles, _ := collect(t, l)
+		if len(bundles) != 20 {
+			t.Fatalf("live keys = %d, want 20", len(bundles))
+		}
+		for k, v := range bundles {
+			if v != "gen-2" {
+				t.Fatalf("%s = %q, want gen-2", k, v)
+			}
+		}
+	}
+	check()
+	if err := <-done; err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if st := l.Stats(); st.Compactions != 1 {
+		t.Fatalf("compactions = %d, want 1", st.Compactions)
+	}
+	check()
+}
+
+// TestScanFailsOnMissingSegment deletes the newest sealed segment,
+// which holds live records, between a Scan's snapshot and its reads:
+// the scan must fail, not return the surviving records as if they were
+// all.
+func TestScanFailsOnMissingSegment(t *testing.T) {
+	l := sealedLog(t)
+	newest := l.segs[len(l.segs)-2].name
+	l.scanHook = func() {
+		if err := os.Remove(l.segPath(newest)); err != nil {
+			t.Errorf("remove: %v", err)
+		}
+	}
+	n := 0
+	err := l.Scan(func(byte, string, []byte) error { n++; return nil })
+	if !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("Scan over a deleted segment = %v after %d records, want ErrNotExist", err, n)
+	}
+}
+
+// TestScanFailsOnSealedCorruption: a sealed segment damaged after Open
+// fails the scan instead of ending it early.
+func TestScanFailsOnSealedCorruption(t *testing.T) {
+	l := sealedLog(t)
+	path := l.segPath(segName(1))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	err = l.Scan(func(byte, string, []byte) error { return nil })
+	if !errors.Is(err, ErrSealedTorn) {
+		t.Fatalf("Scan over a corrupt sealed segment = %v, want ErrSealedTorn", err)
 	}
 }

@@ -143,7 +143,7 @@ type QuarantineEntry struct {
 	Line []byte `json:"line"`
 }
 
-// ServerStats is a snapshot of one server's ingestion counters. Every
+// ServerStats is a snapshot of a server's ingestion counters. Every
 // wire line the server reads lands in exactly one of Accepted,
 // Duplicated or Quarantined, so
 //
@@ -161,50 +161,45 @@ type ServerStats struct {
 	// lines skipped at reload are excluded (they were never received on
 	// this server's wire); QuarantineCount includes them.
 	Quarantined int64
-	// BytesIngested is the wire bytes offered to ingestion.
+	// BytesIngested is the wire bytes offered to ingestion, hello lines
+	// included. Bytes are counted where they are read, so a Shard's
+	// view reports zero.
 	BytesIngested int64
-	// ConnsTotal is the count of accepted client connections.
+	// ConnsTotal is the count of accepted client connections. Like
+	// ConnsOpen it is a property of the listener, zero on a Shard.
 	ConnsTotal int64
-	// ConnsOpen is the number of connections currently being handled.
+	// ConnsOpen is the number of client connections currently being
+	// handled.
 	ConnsOpen int64
 }
 
-// Server receives and stores trace bundles.
+// Server receives and stores trace bundles. One listener and one
+// handler per client connection decode each line or frame once and
+// hand the bundle to the Shard that owns its app (ShardOf); an
+// unsharded server is simply a server with one shard. Limits, fault
+// injection, the tracer and the per-connection budgets belong to the
+// server; stores, ingest hooks, dedup state, quarantine rings and
+// verdict counters belong to each shard.
 type Server struct {
 	ln       net.Listener
-	store    Store // optional durable store
+	shards   []*Shard
 	limits   Limits
-	injector *faults.Injector         // optional chaos injector on received lines
-	tracer   *obs.Tracer              // optional span sink for the ingest path
-	hook     func(*trace.TraceBundle) // optional accepted-bundle hook
+	injector *faults.Injector // optional chaos injector on received lines
+	tracer   *obs.Tracer      // optional span sink for the ingest path
 
-	// Lock-free ingestion counters (see ServerStats).
-	accepted, duplicated, quarantined atomic.Int64
-	bytesIngested                     atomic.Int64
-	connsTotal, connsOpen             atomic.Int64
+	// Lock-free connection-level counters (see ServerStats).
+	bytesIngested         atomic.Int64
+	connsTotal, connsOpen atomic.Int64
 
-	mu         sync.Mutex
-	byApp      map[string][]*trace.TraceBundle
-	dupes      map[string]struct{}  // upload-key dedup across reconnects
-	inflight   map[string]*inflight // keys being persisted right now
-	quarantine []QuarantineEntry    // most recent maxQuarantineKept rejects
-	quarCount  int                  // total rejects, including rotated-out ones
-	closed     bool
-	handler    sync.WaitGroup
+	closed  atomic.Bool
+	handler sync.WaitGroup
 }
 
-// inflight tracks one dedup key whose store append is in progress on
-// some handler goroutine. Concurrent uploads of the same key wait for
-// the leader's verdict instead of double-appending — the dedup check
-// alone cannot cover the window because the append happens outside the
-// state lock (it must: group commit wants many handlers inside
-// store.Append at once).
-type inflight struct {
-	done chan struct{}
-}
-
-// ServerOption configures a server.
-type ServerOption func(*Server)
+// ServerOption configures a server. WithStore and WithIngestHook
+// configure the shard whose option list carries them; the other
+// options configure the connection-handling front that every shard
+// shares.
+type ServerOption func(*Server, *Shard)
 
 // WithFileStore persists accepted bundles to a durable store and, at
 // startup, reloads (and deduplicates against) everything the store
@@ -217,33 +212,33 @@ func WithFileStore(store *FileStore) ServerOption {
 // particular SegStore, the group-committing segmented log that the
 // fleet-scale deployment uses.
 func WithStore(store Store) ServerOption {
-	return func(s *Server) { s.store = store }
+	return func(_ *Server, sh *Shard) { sh.store = store }
 }
 
 // WithLimits overrides the ingestion limits; zero fields keep their
 // defaults.
 func WithLimits(l Limits) ServerOption {
-	return func(s *Server) { s.limits = l }
+	return func(s *Server, _ *Shard) { s.limits = l }
 }
 
 // WithServerFaults injects faults into received lines before ingestion
 // (chaos testing via collectd's -faults flag): lines may be corrupted,
 // truncated or duplicated, connections dropped, and ingestion delayed.
 func WithServerFaults(in *faults.Injector) ServerOption {
-	return func(s *Server) { s.injector = in }
+	return func(s *Server, _ *Shard) { s.injector = in }
 }
 
 // WithIngestHook calls fn for every bundle accepted into the corpus —
 // after validation, scrubbing, dedup and durable persistence, so fn
 // only ever sees bundles that analysis would. Re-uploads recognized by
 // content key do not fire it. fn runs on the connection handler
-// goroutine outside the server's state lock; it must be
+// goroutine outside the shard's state lock; it must be
 // concurrency-safe and should return quickly (hand heavy work, like
 // triggering re-analysis, to a debounced consumer such as
 // serve.Service). The bundle is the stored instance: treat it as
 // read-only.
 func WithIngestHook(fn func(*trace.TraceBundle)) ServerOption {
-	return func(s *Server) { s.hook = fn }
+	return func(_ *Server, sh *Shard) { sh.hook = fn }
 }
 
 // WithServerTracer records one span per ingested line ("server.ingest",
@@ -251,83 +246,24 @@ func WithIngestHook(fn func(*trace.TraceBundle)) ServerOption {
 // JSONL trace. Production servers may leave it nil; the ingest-latency
 // histogram on the metrics registry is always populated.
 func WithServerTracer(tr *obs.Tracer) ServerOption {
-	return func(s *Server) { s.tracer = tr }
+	return func(s *Server, _ *Shard) { s.tracer = tr }
 }
 
-// NewServer starts a collection server on addr (e.g. "127.0.0.1:0").
+// NewServer starts a single-shard collection server on addr (e.g.
+// "127.0.0.1:0").
 func NewServer(addr string, opts ...ServerOption) (*Server, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("collect: listen: %w", err)
-	}
-	s := &Server{
-		ln:       ln,
-		limits:   DefaultLimits(),
-		byApp:    make(map[string][]*trace.TraceBundle),
-		dupes:    make(map[string]struct{}),
-		inflight: make(map[string]*inflight),
-	}
-	for _, o := range opts {
-		o(s)
-	}
-	s.limits = s.limits.withDefaults()
-	if s.store != nil {
-		persisted, skipped, err := s.store.Load()
-		if err != nil {
-			ln.Close()
-			return nil, err
-		}
-		for appID, bundles := range persisted {
-			for _, b := range bundles {
-				s.byApp[appID] = append(s.byApp[appID], b)
-				s.dupes[dedupKey(b)] = struct{}{}
-			}
-		}
-		// Torn trailing lines (crash mid-append) were never acked, so
-		// dropping them is safe; record them for diagnosis.
-		s.quarCount += skipped
-	}
-	// Live quarantine visibility: the ring and its total used to be
-	// discoverable only post-hoc in quarantine/rejected.jsonl; these
-	// gauges read the newest server's state at scrape time (one server
-	// per process in production).
-	obs.Default.GaugeFunc("collect_quarantine_kept",
-		"quarantined lines currently held in the in-memory ring",
-		func() float64 {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			return float64(len(s.quarantine))
-		})
-	obs.Default.GaugeFunc("collect_quarantine_count",
-		"total lines rejected into quarantine, including rotated-out and reload-skipped ones",
-		func() float64 { return float64(s.QuarantineCount()) })
-	s.handler.Add(1)
-	go s.acceptLoop()
-	return s, nil
-}
-
-// dedupKey identifies a bundle across re-uploads and restarts: the
-// stamped content key when present, else the app/user/trace triple
-// (legacy uploaders without integrity keys).
-func dedupKey(b *trace.TraceBundle) string {
-	if b.Key != "" {
-		return b.Key
-	}
-	return b.Event.AppID + "/" + b.Event.UserID + "/" + b.Event.TraceID
+	return NewShardedServer(addr, 1, func(int) []ServerOption { return opts })
 }
 
 // Addr returns the server's listen address.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // Close stops accepting connections and waits for in-flight handlers.
+// The shards' stores stay open; their owner closes them.
 func (s *Server) Close() error {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if !s.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	s.closed = true
-	s.mu.Unlock()
 	err := s.ln.Close()
 	s.handler.Wait()
 	return err
@@ -350,16 +286,23 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// Stats returns a snapshot of the server's ingestion counters.
+// Stats returns a snapshot of the server's ingestion counters: the
+// shards' verdict counters summed, plus the connection-level ones. The
+// reconciliation invariant holds server-wide because it holds per
+// shard.
 func (s *Server) Stats() ServerStats {
-	return ServerStats{
-		Accepted:      s.accepted.Load(),
-		Duplicated:    s.duplicated.Load(),
-		Quarantined:   s.quarantined.Load(),
+	out := ServerStats{
 		BytesIngested: s.bytesIngested.Load(),
 		ConnsTotal:    s.connsTotal.Load(),
 		ConnsOpen:     s.connsOpen.Load(),
 	}
+	for _, sh := range s.shards {
+		st := sh.Stats()
+		out.Accepted += st.Accepted
+		out.Duplicated += st.Duplicated
+		out.Quarantined += st.Quarantined
+	}
+	return out
 }
 
 func (s *Server) handleConn(conn net.Conn) {
@@ -394,10 +337,20 @@ func (s *Server) handleConn(conn net.Conn) {
 	s.handleText(br, w)
 }
 
+// connState is one client connection's ingest state: its ack writer,
+// its wire codec, and how much of its Limits budgets it has used.
+type connState struct {
+	w        *bufio.Writer
+	decode   func([]byte) (*trace.TraceBundle, error)
+	overhead int64 // framing bytes per unit not included in its payload
+	bundles  int
+	bad      int
+}
+
 // handleBinary is the frame loop of a negotiated binary connection:
 // length-prefixed CRC-checked binenc frames in, text acks out.
 func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
-	bundles, bad := 0, 0
+	c := &connState{w: w, decode: decodeBinary, overhead: binenc.FrameOverhead}
 	for {
 		payload, err := binenc.ReadFrame(br, s.limits.MaxLineBytes)
 		if err != nil {
@@ -407,44 +360,12 @@ func (s *Server) handleBinary(br *bufio.Reader, w *bufio.Writer) {
 			// A torn or corrupt frame cannot be resynced past (the next
 			// length prefix is untrustworthy), so like an over-long text
 			// line this closes the connection; the client retries.
-			s.quarantineLine(nil, "", fmt.Errorf("binary framing: %v", err), nil)
+			s.shards[0].quarantineLine(nil, "", fmt.Errorf("binary framing: %v", err), nil)
 			fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
 			w.Flush()
 			return
 		}
-		bundles++
-		if bundles > s.limits.MaxBundlesPerConn {
-			fmt.Fprintf(w, "%s %s connection bundle limit (%d) exceeded\n",
-				ackErr, ackUnknownKey, s.limits.MaxBundlesPerConn)
-			w.Flush()
-			return
-		}
-		payloads := [][]byte{payload}
-		if s.injector != nil {
-			if d := s.injector.Delay(); d > 0 {
-				time.Sleep(d)
-			}
-			var drop bool
-			payloads, drop = s.injector.Apply(payload)
-			if drop {
-				return // injected connection cut; the client retries
-			}
-		}
-		for _, p := range payloads {
-			s.bytesIngested.Add(int64(len(p)) + binenc.FrameOverhead)
-			mSrvBytes.Add(int64(len(p)) + binenc.FrameOverhead)
-			var sp *obs.Span
-			if s.tracer != nil {
-				sp = s.tracer.Start("server.ingest")
-			}
-			start := time.Now()
-			key, stored, dup, err := s.ingestBinary(p)
-			hSrvIngest.Observe(time.Since(start).Seconds())
-			if !s.ackIngest(w, p, key, stored, dup, err, sp, &bad) {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
+		if !s.receive(c, payload) {
 			return
 		}
 	}
@@ -457,45 +378,13 @@ func (s *Server) handleText(br *bufio.Reader, w *bufio.Writer) {
 	// the initial buffer, so the initial buffer must not exceed the
 	// configured line limit.
 	sc.Buffer(make([]byte, 0, min(64*1024, s.limits.MaxLineBytes)), s.limits.MaxLineBytes)
-	bundles, bad := 0, 0
+	c := &connState{w: w, decode: decodeText}
 	for sc.Scan() {
 		line := sc.Bytes()
 		if len(bytes.TrimSpace(line)) == 0 {
 			continue
 		}
-		bundles++
-		if bundles > s.limits.MaxBundlesPerConn {
-			fmt.Fprintf(w, "%s %s connection bundle limit (%d) exceeded\n",
-				ackErr, ackUnknownKey, s.limits.MaxBundlesPerConn)
-			w.Flush()
-			return
-		}
-		lines := [][]byte{line}
-		if s.injector != nil {
-			if d := s.injector.Delay(); d > 0 {
-				time.Sleep(d)
-			}
-			var drop bool
-			lines, drop = s.injector.Apply(line)
-			if drop {
-				return // injected connection cut; the client retries
-			}
-		}
-		for _, ln := range lines {
-			s.bytesIngested.Add(int64(len(ln)))
-			mSrvBytes.Add(int64(len(ln)))
-			var sp *obs.Span
-			if s.tracer != nil {
-				sp = s.tracer.Start("server.ingest")
-			}
-			start := time.Now()
-			key, stored, dup, err := s.ingest(ln)
-			hSrvIngest.Observe(time.Since(start).Seconds())
-			if !s.ackIngest(w, ln, key, stored, dup, err, sp, &bad) {
-				return
-			}
-		}
-		if err := w.Flush(); err != nil {
+		if !s.receive(c, line) {
 			return
 		}
 	}
@@ -504,10 +393,91 @@ func (s *Server) handleText(br *bufio.Reader, w *bufio.Writer) {
 	// oversize upload is quarantined by size class (the line itself is
 	// too big to keep).
 	if err := sc.Err(); err != nil {
-		s.quarantineLine(nil, "", fmt.Errorf("line exceeds %d bytes: %w", s.limits.MaxLineBytes, err), nil)
+		s.shards[0].quarantineLine(nil, "", fmt.Errorf("line exceeds %d bytes: %w", s.limits.MaxLineBytes, err), nil)
 		fmt.Fprintf(w, "%s %s line exceeds %d byte limit\n", ackErr, ackUnknownKey, s.limits.MaxLineBytes)
 		w.Flush()
 	}
+}
+
+// receive ingests one unit read off a connection — a text line or a
+// binary frame payload — and flushes its acks. It enforces the
+// connection's bundle budget before anything else and applies the
+// fault injector. It returns false when the connection must close.
+func (s *Server) receive(c *connState, unit []byte) bool {
+	c.bundles++
+	if c.bundles > s.limits.MaxBundlesPerConn {
+		fmt.Fprintf(c.w, "%s %s connection bundle limit (%d) exceeded\n",
+			ackErr, ackUnknownKey, s.limits.MaxBundlesPerConn)
+		c.w.Flush()
+		return false
+	}
+	units := [][]byte{unit}
+	if s.injector != nil {
+		if d := s.injector.Delay(); d > 0 {
+			time.Sleep(d)
+		}
+		var drop bool
+		units, drop = s.injector.Apply(unit)
+		if drop {
+			return false // injected connection cut; the client retries
+		}
+	}
+	for _, u := range units {
+		s.bytesIngested.Add(int64(len(u)) + c.overhead)
+		mSrvBytes.Add(int64(len(u)) + c.overhead)
+		if !s.ingest(c, u) {
+			return false
+		}
+	}
+	return c.w.Flush() == nil
+}
+
+// ingest decodes and validates one unit, hands it to the shard that
+// owns its app, and buffers the ack. A unit that cannot be decoded, or
+// names no app, belongs to shard 0, whose quarantine records it. It
+// returns false when the connection has exhausted its bad-line budget.
+func (s *Server) ingest(c *connState, raw []byte) bool {
+	var sp *obs.Span
+	if s.tracer != nil {
+		sp = s.tracer.Start("server.ingest")
+		defer sp.End()
+	}
+	start := time.Now()
+	b, err := c.decode(raw)
+	sh := s.shards[0]
+	key := ""
+	if b != nil {
+		key = b.Key
+		if b.Event.AppID != "" {
+			sh = s.owner(b.Event.AppID)
+		}
+	}
+	var stored *trace.TraceBundle
+	var dup bool
+	if err == nil {
+		err = s.validate(b)
+	}
+	if err == nil && s.closed.Load() {
+		err = errors.New("server shutting down")
+	}
+	if err == nil {
+		stored, dup, err = sh.ingest(trace.ScrubBundle(b))
+	}
+	hSrvIngest.Observe(time.Since(start).Seconds())
+
+	if err != nil {
+		c.bad++
+		sh.quarantineLine(raw, key, err, sp)
+		fmt.Fprintf(c.w, "%s %s %v\n", ackErr, keyOrUnknown(key), err)
+		if c.bad > s.limits.MaxBadLinesPerConn {
+			c.w.Flush()
+			return false
+		}
+		return true
+	}
+	sh.record(stored, dup)
+	fmt.Fprintf(c.w, "%s %s\n", ackOK, keyOrUnknown(key))
+	return true
 }
 
 func keyOrUnknown(key string) string {
@@ -517,223 +487,58 @@ func keyOrUnknown(key string) string {
 	return key
 }
 
-// ackIngest translates one ingest verdict into counters, quarantine and
-// a (buffered, not yet flushed) ack line. It returns false when the
-// connection has exhausted its bad-line budget and must close.
-func (s *Server) ackIngest(w *bufio.Writer, raw []byte, key string, stored *trace.TraceBundle, dup bool, err error, sp *obs.Span, bad *int) bool {
-	defer func() {
-		if sp != nil {
-			sp.End()
-		}
-	}()
-	if err != nil {
-		*bad++
-		s.quarantineLine(raw, key, err, sp)
-		fmt.Fprintf(w, "%s %s %v\n", ackErr, keyOrUnknown(key), err)
-		if *bad > s.limits.MaxBadLinesPerConn {
-			w.Flush()
-			return false
-		}
-		return true
-	}
-	if dup {
-		s.duplicated.Add(1)
-		mSrvDuplicated.Inc()
-	} else {
-		s.accepted.Add(1)
-		mSrvAccepted.Inc()
-		if s.hook != nil {
-			s.hook(stored)
-		}
-	}
-	fmt.Fprintf(w, "%s %s\n", ackOK, keyOrUnknown(key))
-	return true
-}
-
-// ingest validates, scrubs and stores one serialized text bundle,
-// returning the bundle's stamped key when one could be decoded, the
-// stored (scrubbed) bundle on acceptance, and whether the bundle was a
-// content-key duplicate of an already stored one.
-func (s *Server) ingest(line []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
+// decodeText decodes one newline-delimited JSON bundle.
+func decodeText(line []byte) (*trace.TraceBundle, error) {
 	b, err := trace.DecodeBundle(bytes.NewReader(line))
 	if err != nil {
-		return "", nil, false, fmt.Errorf("decode: %v", err)
+		return nil, fmt.Errorf("decode: %v", err)
 	}
-	return s.ingestBundle(b)
+	return b, nil
 }
 
-// ingestBinary is ingest for a binary frame payload.
-func (s *Server) ingestBinary(payload []byte) (key string, stored *trace.TraceBundle, dup bool, err error) {
+// decodeBinary decodes one binary frame payload. The binary codec is a
+// pure serialization layer and will carry NaN/Inf utilization bit
+// patterns (JSON structurally cannot), but the content-key hash goes
+// through JSON — reject non-finite floats here so a hostile frame
+// cannot reach it. The bundle is returned with that error so its key
+// can be acked.
+func decodeBinary(payload []byte) (*trace.TraceBundle, error) {
 	b, err := binenc.DecodeBundle(payload)
 	if err != nil {
-		return "", nil, false, fmt.Errorf("decode: %v", err)
+		return nil, fmt.Errorf("decode: %v", err)
 	}
-	// The binary codec is a pure serialization layer and will carry
-	// NaN/Inf utilization bit patterns (JSON structurally cannot), but
-	// the content-key hash goes through JSON — reject non-finite floats
-	// here so a hostile frame cannot reach it.
 	for i := range b.Util.Samples {
 		for _, v := range b.Util.Samples[i].Util {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return b.Key, nil, false, errors.New("utilization not finite")
+				return b, errors.New("utilization not finite")
 			}
 		}
 	}
-	return s.ingestBundle(b)
+	return b, nil
 }
 
-// ingestBundle validates, scrubs and stores one decoded bundle. The
-// store append runs OUTSIDE the state lock: with a group-committing
-// store many handler goroutines must be inside Append at once for
-// batching to exist at all. Exactly-once across that window is kept by
-// the inflight map — the first uploader of a key becomes its persist
-// leader, concurrent uploads of the same key wait for the leader's
-// verdict, and the ack is only ever sent after durability.
-func (s *Server) ingestBundle(b *trace.TraceBundle) (key string, stored *trace.TraceBundle, dup bool, err error) {
-	key = b.Key
-	// Integrity before anything else: a line altered in flight must not
-	// reach the store even if it still parses.
+// validate checks one decoded bundle against integrity, the limits and
+// the structural trace invariants. Integrity comes before anything
+// else: a line altered in flight must not reach a store even if it
+// still parses.
+func (s *Server) validate(b *trace.TraceBundle) error {
 	if err := trace.VerifyContentKey(b); err != nil {
-		return key, nil, false, fmt.Errorf("integrity: %v", err)
+		return fmt.Errorf("integrity: %v", err)
 	}
 	if b.Event.AppID == "" {
-		return key, nil, false, errors.New("bundle has no app id")
+		return errors.New("bundle has no app id")
 	}
 	if n := len(b.Event.Records); n > s.limits.MaxRecords {
-		return key, nil, false, fmt.Errorf("event trace has %d records, limit %d", n, s.limits.MaxRecords)
+		return fmt.Errorf("event trace has %d records, limit %d", n, s.limits.MaxRecords)
 	}
 	if n := len(b.Util.Samples); n > s.limits.MaxSamples {
-		return key, nil, false, fmt.Errorf("utilization trace has %d samples, limit %d", n, s.limits.MaxSamples)
+		return fmt.Errorf("utilization trace has %d samples, limit %d", n, s.limits.MaxSamples)
 	}
 	if err := b.Event.Validate(); err != nil {
-		return key, nil, false, fmt.Errorf("event trace: %v", err)
+		return fmt.Errorf("event trace: %v", err)
 	}
 	if err := b.Util.Validate(); err != nil {
-		return key, nil, false, fmt.Errorf("utilization trace: %v", err)
+		return fmt.Errorf("utilization trace: %v", err)
 	}
-	scrubbed := trace.ScrubBundle(b)
-	dk := dedupKey(scrubbed)
-
-	s.mu.Lock()
-	for {
-		if s.closed {
-			s.mu.Unlock()
-			return key, nil, false, errors.New("server shutting down")
-		}
-		if _, seen := s.dupes[dk]; seen {
-			s.mu.Unlock()
-			return key, nil, true, nil // idempotent: re-uploads after a lost ack are fine
-		}
-		leader, busy := s.inflight[dk]
-		if !busy {
-			break
-		}
-		// Another connection is persisting this exact key right now.
-		// Wait for its verdict: if it succeeds we are a duplicate; if
-		// it fails we take over as the new leader.
-		s.mu.Unlock()
-		<-leader.done
-		s.mu.Lock()
-	}
-	fl := &inflight{done: make(chan struct{})}
-	s.inflight[dk] = fl
-	s.mu.Unlock()
-
-	// Persist before acknowledging: an acked bundle survives a crash; a
-	// failed write is reported so the phone retries. Off-lock, so
-	// concurrent handlers share the store's group commit.
-	var aerr error
-	if s.store != nil {
-		aerr = s.store.Append(scrubbed)
-	}
-
-	s.mu.Lock()
-	delete(s.inflight, dk)
-	if aerr == nil {
-		s.dupes[dk] = struct{}{}
-		s.byApp[scrubbed.Event.AppID] = append(s.byApp[scrubbed.Event.AppID], scrubbed)
-	}
-	close(fl.done)
-	s.mu.Unlock()
-	if aerr != nil {
-		return key, nil, false, aerr
-	}
-	return key, scrubbed, false, nil
-}
-
-// quarantineLine records a rejected wire line: bounded in memory,
-// complete in the durable store when one is attached. parent, when
-// non-nil, is the ingest span the rejection belongs under.
-func (s *Server) quarantineLine(line []byte, key string, cause error, parent *obs.Span) {
-	s.quarantined.Add(1)
-	mSrvQuarantined.Inc()
-	if parent != nil {
-		defer parent.Child("server.quarantine").End()
-	}
-	entry := QuarantineEntry{
-		Key:    key,
-		Reason: cause.Error(),
-		Line:   append([]byte(nil), line...),
-	}
-	s.mu.Lock()
-	s.quarCount++
-	s.quarantine = append(s.quarantine, entry)
-	if len(s.quarantine) > maxQuarantineKept {
-		s.quarantine = s.quarantine[len(s.quarantine)-maxQuarantineKept:]
-	}
-	store := s.store
-	s.mu.Unlock()
-	if store != nil {
-		// Best-effort: quarantine persistence failing must not take the
-		// handler down with it.
-		_ = store.AppendQuarantine(entry)
-	}
-}
-
-// Quarantine returns the most recent quarantined lines (a copy).
-func (s *Server) Quarantine() []QuarantineEntry {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]QuarantineEntry, len(s.quarantine))
-	copy(out, s.quarantine)
-	return out
-}
-
-// QuarantineCount returns how many lines have been rejected in total.
-func (s *Server) QuarantineCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.quarCount
-}
-
-// Bundles returns the stored bundles for one app (a copy of the slice).
-func (s *Server) Bundles(appID string) []*trace.TraceBundle {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	src := s.byApp[appID]
-	out := make([]*trace.TraceBundle, len(src))
-	copy(out, src)
-	return out
-}
-
-// Count returns the total number of stored bundles.
-func (s *Server) Count() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, bs := range s.byApp {
-		n += len(bs)
-	}
-	return n
-}
-
-// Apps returns the app IDs with stored traces.
-func (s *Server) Apps() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	apps := make([]string, 0, len(s.byApp))
-	for id := range s.byApp {
-		apps = append(apps, id)
-	}
-	return apps
+	return nil
 }

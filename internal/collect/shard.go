@@ -1,33 +1,20 @@
 package collect
 
 import (
-	"bufio"
-	"bytes"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
-	"repro/internal/trace/binenc"
-)
-
-// Router metrics: how the fronting tier spreads and degrades.
-var (
-	mRtBundles   = obs.Default.Counter("collect_router_bundles_total", "bundles routed to a shard")
-	mRtUnrouted  = obs.Default.Counter("collect_router_unrouted_total", "lines/frames with no readable app id, routed to shard 0 for quarantine")
-	mRtUpstreams = obs.Default.Counter("collect_router_upstream_conns_total", "upstream shard connections dialed")
-	mRtErrors    = obs.Default.Counter("collect_router_upstream_errors_total", "client connections dropped on an upstream failure")
 )
 
 // ShardOf maps an app ID onto one of n shards (FNV-1a 32). It is the
 // single partitioning function of the sharded deployment: the ingest
-// router, the per-shard stores and the serve-layer read fan-out must
+// dispatch, the per-shard stores and the serve-layer read fan-out must
 // all agree on it, so an app's whole corpus — and its incremental
 // analyzer — lives on exactly one shard.
 func ShardOf(appID string, n int) int {
@@ -39,340 +26,331 @@ func ShardOf(appID string, n int) int {
 	return int(h.Sum32() % uint32(n))
 }
 
-// ShardedServer fronts N in-process collection shards with a thin
-// routing listener. Each shard is a full *Server — own store, own
-// dedup state, own ingest hook — and owns every app whose ID hashes to
-// it. The router terminates the upload protocol only far enough to
-// read each bundle's app ID (binenc.FrameHeader on a binary frame, a
-// two-field JSON probe on a text line), forwards the raw bytes to the
-// owning shard over a per-connection upstream, and relays the shard's
-// ack verbatim.
+// ShardedServer is a Server with more than one shard. The name is kept
+// for the constructor's callers; there is one ingest path for any
+// shard count.
+type ShardedServer = Server
+
+// NewShardedServer starts a server on addr whose corpus is partitioned
+// into n in-process shards by ShardOf. Each client connection's
+// handler decodes a bundle once and hands it straight to the owning
+// shard. shardOpts, when non-nil, supplies each shard's options by
+// shard index: its store and ingest hook, plus the server-wide limits,
+// faults and tracer, which every shard's list should carry alike (the
+// last one applied wins).
 //
-// Exactly-once survives routing because the router adds no state: the
-// bundle's content key travels with the bytes, and the owning shard's
-// dedup map (and durable store) is the same one a retry after a router
-// crash or an upstream failure lands on. A line whose app ID cannot be
-// read is deterministically routed to shard 0, whose validator
-// quarantines it — rejects stay observable without the router growing
-// its own quarantine.
-type ShardedServer struct {
-	ln     net.Listener
-	shards []*Server
-	limits Limits
-
-	mu      sync.Mutex
-	closed  bool
-	handler sync.WaitGroup
-}
-
-// NewShardedServer starts n shards on loopback ports and a router on
-// addr. shardOpts, when non-nil, supplies each shard's options (store,
-// ingest hook, limits, faults) by shard index. With n == 1 the shard
-// still sits behind the router, so behavior differs from a bare Server
-// only by one forwarding hop.
+// Exactly-once holds per shard: a bundle's content key decides its
+// owner, so a retry lands on the same dedup map and durable store as
+// the original upload.
 func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOption) (*ShardedServer, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("collect: shard count %d < 1", n)
 	}
-	ss := &ShardedServer{}
+	s := &Server{limits: DefaultLimits()}
 	for i := 0; i < n; i++ {
-		var opts []ServerOption
+		sh := newShard()
 		if shardOpts != nil {
-			opts = shardOpts(i)
-		}
-		srv, err := NewServer("127.0.0.1:0", opts...)
-		if err != nil {
-			for _, s := range ss.shards {
-				s.Close()
+			for _, o := range shardOpts(i) {
+				o(s, sh)
 			}
+		}
+		if err := sh.load(); err != nil {
 			return nil, fmt.Errorf("collect: shard %d: %w", i, err)
 		}
-		ss.shards = append(ss.shards, srv)
+		s.shards = append(s.shards, sh)
 	}
-	ss.limits = ss.shards[0].limits
+	s.limits = s.limits.withDefaults()
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		for _, s := range ss.shards {
-			s.Close()
-		}
-		return nil, fmt.Errorf("collect: router listen: %w", err)
+		return nil, fmt.Errorf("collect: listen: %w", err)
 	}
-	ss.ln = ln
-	ss.handler.Add(1)
-	go ss.acceptLoop()
-	return ss, nil
+	s.ln = ln
+	// Live quarantine visibility, summed over this server's shards. The
+	// registry keeps one func per name, so the newest server in the
+	// process is the one scraped (one server per process in production).
+	obs.Default.GaugeFunc("collect_quarantine_kept",
+		"quarantined lines currently held in the in-memory rings",
+		func() float64 { return float64(len(s.Quarantine())) })
+	obs.Default.GaugeFunc("collect_quarantine_count",
+		"total lines rejected into quarantine, including rotated-out and reload-skipped ones",
+		func() float64 { return float64(s.QuarantineCount()) })
+	s.handler.Add(1)
+	go s.acceptLoop()
+	return s, nil
 }
 
-// Addr returns the router's listen address — the one clients dial.
-func (ss *ShardedServer) Addr() string { return ss.ln.Addr().String() }
+// Shards returns the server's shards, indexed by ShardOf.
+func (s *Server) Shards() []*Shard { return s.shards }
 
-// Shards returns the shard servers, indexed by ShardOf.
-func (ss *ShardedServer) Shards() []*Server { return ss.shards }
-
-// ShardFor returns the shard owning an app's corpus.
-func (ss *ShardedServer) ShardFor(appID string) *Server {
-	return ss.shards[ShardOf(appID, len(ss.shards))]
-}
-
-// Close stops the router, waits for in-flight routed connections, then
-// closes every shard.
-func (ss *ShardedServer) Close() error {
-	ss.mu.Lock()
-	if ss.closed {
-		ss.mu.Unlock()
-		return nil
-	}
-	ss.closed = true
-	ss.mu.Unlock()
-	err := ss.ln.Close()
-	ss.handler.Wait()
-	for _, s := range ss.shards {
-		if cerr := s.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
-	return err
-}
-
-// Stats sums the shards' ingestion counters. The reconciliation
-// invariant (accepted + duplicated + quarantined == lines received)
-// holds fleet-wide because it holds per shard.
-func (ss *ShardedServer) Stats() ServerStats {
-	var out ServerStats
-	for _, s := range ss.shards {
-		st := s.Stats()
-		out.Accepted += st.Accepted
-		out.Duplicated += st.Duplicated
-		out.Quarantined += st.Quarantined
-		out.BytesIngested += st.BytesIngested
-		out.ConnsTotal += st.ConnsTotal
-		out.ConnsOpen += st.ConnsOpen
-	}
-	return out
+// owner returns the shard owning an app's corpus.
+func (s *Server) owner(appID string) *Shard {
+	return s.shards[ShardOf(appID, len(s.shards))]
 }
 
 // Bundles returns the stored bundles for one app, read from its shard.
-func (ss *ShardedServer) Bundles(appID string) []*trace.TraceBundle {
-	return ss.ShardFor(appID).Bundles(appID)
+func (s *Server) Bundles(appID string) []*trace.TraceBundle {
+	return s.owner(appID).Bundles(appID)
 }
 
 // Count returns the total stored bundles across all shards.
-func (ss *ShardedServer) Count() int {
+func (s *Server) Count() int {
 	n := 0
-	for _, s := range ss.shards {
-		n += s.Count()
+	for _, sh := range s.shards {
+		n += sh.Count()
 	}
 	return n
 }
 
-// Apps returns the app IDs with stored traces across all shards.
-func (ss *ShardedServer) Apps() []string {
+// Apps returns the app IDs with stored traces across all shards,
+// sorted.
+func (s *Server) Apps() []string {
 	var out []string
-	for _, s := range ss.shards {
-		out = append(out, s.Apps()...)
+	for _, sh := range s.shards {
+		out = append(out, sh.Apps()...)
 	}
 	sort.Strings(out)
 	return out
 }
 
+// Quarantine returns the most recent quarantined lines of every shard,
+// shard by shard (a copy).
+func (s *Server) Quarantine() []QuarantineEntry {
+	var out []QuarantineEntry
+	for _, sh := range s.shards {
+		out = append(out, sh.Quarantine()...)
+	}
+	return out
+}
+
 // QuarantineCount sums the shards' rejected-line totals.
-func (ss *ShardedServer) QuarantineCount() int {
+func (s *Server) QuarantineCount() int {
 	n := 0
-	for _, s := range ss.shards {
-		n += s.QuarantineCount()
+	for _, sh := range s.shards {
+		n += sh.QuarantineCount()
 	}
 	return n
 }
 
-func (ss *ShardedServer) acceptLoop() {
-	defer ss.handler.Done()
-	for {
-		conn, err := ss.ln.Accept()
-		if err != nil {
-			return
-		}
-		ss.handler.Add(1)
-		go func() {
-			defer ss.handler.Done()
-			ss.route(conn)
-		}()
+// Shard is one partition of a Server's corpus: the apps ShardOf maps to
+// it, with their store, ingest hook, dedup state, quarantine ring and
+// verdict counters.
+type Shard struct {
+	store Store                    // optional durable store
+	hook  func(*trace.TraceBundle) // optional accepted-bundle hook
+
+	// Lock-free verdict counters (see ServerStats).
+	accepted, duplicated, quarantined atomic.Int64
+
+	mu         sync.Mutex
+	byApp      map[string][]*trace.TraceBundle
+	dupes      map[string]struct{}  // upload-key dedup across reconnects
+	inflight   map[string]*inflight // keys being persisted right now
+	quarantine []QuarantineEntry    // most recent maxQuarantineKept rejects
+	quarCount  int                  // total rejects, including rotated-out ones
+}
+
+// inflight tracks one dedup key whose store append is in progress on
+// some handler goroutine. Concurrent uploads of the same key wait for
+// the leader's verdict instead of double-appending — the dedup check
+// alone cannot cover the window because the append happens outside the
+// state lock (it must: group commit wants many handlers inside
+// store.Append at once).
+type inflight struct {
+	done chan struct{}
+}
+
+func newShard() *Shard {
+	return &Shard{
+		byApp:    make(map[string][]*trace.TraceBundle),
+		dupes:    make(map[string]struct{}),
+		inflight: make(map[string]*inflight),
 	}
 }
 
-// upstream is one lazily-dialed router→shard connection. The router
-// opens at most one per shard per client connection and forwards
-// bundles synchronously (send, await shard ack, relay), so per-client
-// ack order is the shard ack order and MaxBundlesPerConn on the shard
-// bounds what one routed client can send, same as an unsharded server.
-type upstream struct {
-	conn net.Conn
-	br   *bufio.Reader
-	w    *bufio.Writer
-}
-
-func (u *upstream) close() {
-	if u != nil {
-		u.conn.Close()
+// load restores the shard's corpus and dedup state from its store, if
+// it has one.
+func (sh *Shard) load() error {
+	if sh.store == nil {
+		return nil
 	}
-}
-
-// dialShard opens the upstream to one shard, negotiating the binary
-// codec upstream when the client connection negotiated it downstream —
-// the router never transcodes.
-func (ss *ShardedServer) dialShard(i int, binary bool) (*upstream, error) {
-	conn, err := net.Dial("tcp", ss.shards[i].Addr())
+	persisted, skipped, err := sh.store.Load()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	mRtUpstreams.Inc()
-	u := &upstream{conn: conn, br: bufio.NewReaderSize(conn, 64*1024), w: bufio.NewWriter(conn)}
-	if binary {
-		if _, err := u.w.WriteString(helloLine); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if err := u.w.Flush(); err != nil {
-			conn.Close()
-			return nil, err
-		}
-		echo, err := u.br.ReadString('\n')
-		if err != nil {
-			conn.Close()
-			return nil, err
-		}
-		if echo != helloLine {
-			conn.Close()
-			return nil, errors.New("shard did not negotiate binary codec")
+	for appID, bundles := range persisted {
+		for _, b := range bundles {
+			sh.byApp[appID] = append(sh.byApp[appID], b)
+			sh.dupes[dedupKey(b)] = struct{}{}
 		}
 	}
-	return u, nil
+	// Torn trailing lines (crash mid-append) were never acked, so
+	// dropping them is safe; record them for diagnosis.
+	sh.quarCount += skipped
+	return nil
 }
 
-// route handles one client connection: negotiate the codec exactly
-// like a Server would, then forward bundle-by-bundle to owning shards.
-func (ss *ShardedServer) route(conn net.Conn) {
-	defer conn.Close()
-	ups := make([]*upstream, len(ss.shards))
-	defer func() {
-		for _, u := range ups {
-			u.close()
+// dedupKey identifies a bundle across re-uploads and restarts: the
+// stamped content key when present, else the app/user/trace triple
+// (legacy uploaders without integrity keys).
+func dedupKey(b *trace.TraceBundle) string {
+	if b.Key != "" {
+		return b.Key
+	}
+	return b.Event.AppID + "/" + b.Event.UserID + "/" + b.Event.TraceID
+}
+
+// ingest stores one validated, scrubbed bundle, returning it on
+// acceptance and whether it was a content-key duplicate of an already
+// stored one. The store append runs OUTSIDE the state lock: with a
+// group-committing store many handler goroutines must be inside Append
+// at once for batching to exist at all. Exactly-once across that
+// window is kept by the inflight map — the first uploader of a key
+// becomes its persist leader, concurrent uploads of the same key wait
+// for the leader's verdict, and the ack is only ever sent after
+// durability.
+func (sh *Shard) ingest(b *trace.TraceBundle) (stored *trace.TraceBundle, dup bool, err error) {
+	dk := dedupKey(b)
+	sh.mu.Lock()
+	for {
+		if _, seen := sh.dupes[dk]; seen {
+			sh.mu.Unlock()
+			return nil, true, nil // idempotent: re-uploads after a lost ack are fine
 		}
-	}()
-	get := func(i int, binary bool) (*upstream, error) {
-		if ups[i] == nil {
-			u, err := ss.dialShard(i, binary)
-			if err != nil {
-				mRtErrors.Inc()
-				return nil, err
-			}
-			ups[i] = u
+		leader, busy := sh.inflight[dk]
+		if !busy {
+			break
 		}
-		return ups[i], nil
+		// Another connection is persisting this exact key right now.
+		// Wait for its verdict: if it succeeds we are a duplicate; if
+		// it fails we take over as the new leader.
+		sh.mu.Unlock()
+		<-leader.done
+		sh.mu.Lock()
+	}
+	fl := &inflight{done: make(chan struct{})}
+	sh.inflight[dk] = fl
+	sh.mu.Unlock()
+
+	// Persist before acknowledging: an acked bundle survives a crash; a
+	// failed write is reported so the phone retries. Off-lock, so
+	// concurrent handlers share the store's group commit.
+	var aerr error
+	if sh.store != nil {
+		aerr = sh.store.Append(b)
 	}
 
-	br := bufio.NewReaderSize(conn, 64*1024)
-	w := bufio.NewWriter(conn)
-	if peek, err := br.Peek(len(helloLine)); err == nil && string(peek) == helloLine {
-		br.Discard(len(helloLine))
-		if _, err := w.WriteString(helloLine); err != nil {
-			return
-		}
-		if err := w.Flush(); err != nil {
-			return
-		}
-		ss.routeBinary(br, w, get)
+	sh.mu.Lock()
+	delete(sh.inflight, dk)
+	if aerr == nil {
+		sh.dupes[dk] = struct{}{}
+		sh.byApp[b.Event.AppID] = append(sh.byApp[b.Event.AppID], b)
+	}
+	close(fl.done)
+	sh.mu.Unlock()
+	if aerr != nil {
+		return nil, false, aerr
+	}
+	return b, false, nil
+}
+
+// record counts one successful verdict and fires the ingest hook for a
+// newly stored bundle.
+func (sh *Shard) record(stored *trace.TraceBundle, dup bool) {
+	if dup {
+		sh.duplicated.Add(1)
+		mSrvDuplicated.Inc()
 		return
 	}
-	ss.routeText(br, w, get)
-}
-
-// forward sends one already-framed message to a shard and relays the
-// shard's one-line ack back to the client. Any failure in the middle
-// closes the client connection: the client's retry re-offers the
-// bundle with its content key intact and the shard dedups it, so a
-// half-forwarded bundle can never double-ingest.
-func forward(up *upstream, w *bufio.Writer, msg []byte) error {
-	if _, err := up.w.Write(msg); err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	if err := up.w.Flush(); err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	ack, err := up.br.ReadString('\n')
-	if err != nil {
-		mRtErrors.Inc()
-		return err
-	}
-	if _, err := w.WriteString(ack); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func (ss *ShardedServer) routeBinary(br *bufio.Reader, w *bufio.Writer, get func(int, bool) (*upstream, error)) {
-	for {
-		payload, err := binenc.ReadFrame(br, ss.limits.MaxLineBytes)
-		if err != nil {
-			if err != io.EOF {
-				// Same contract as Server.handleBinary: a torn frame
-				// cannot be resynced past, so reject and close.
-				fmt.Fprintf(w, "%s %s binary framing: %v\n", ackErr, ackUnknownKey, err)
-				w.Flush()
-			}
-			return
-		}
-		shard := 0
-		if hdr, herr := binenc.FrameHeader(payload); herr == nil {
-			shard = ShardOf(hdr.AppID, len(ss.shards))
-		} else {
-			mRtUnrouted.Inc() // shard 0's decoder will quarantine it
-		}
-		up, err := get(shard, true)
-		if err != nil {
-			return
-		}
-		mRtBundles.Inc()
-		if err := forward(up, w, binenc.AppendFrame(nil, payload)); err != nil {
-			return
-		}
+	sh.accepted.Add(1)
+	mSrvAccepted.Inc()
+	if sh.hook != nil {
+		sh.hook(stored)
 	}
 }
 
-func (ss *ShardedServer) routeText(br *bufio.Reader, w *bufio.Writer, get func(int, bool) (*upstream, error)) {
-	sc := bufio.NewScanner(br)
-	sc.Buffer(make([]byte, 0, min(64*1024, ss.limits.MaxLineBytes)), ss.limits.MaxLineBytes)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		// Routing probe: only the app ID is decoded here; full
-		// validation stays on the owning shard.
-		var probe struct {
-			Event struct {
-				AppID string `json:"appId"`
-			} `json:"event"`
-		}
-		shard := 0
-		if err := json.Unmarshal(line, &probe); err == nil && probe.Event.AppID != "" {
-			shard = ShardOf(probe.Event.AppID, len(ss.shards))
-		} else {
-			mRtUnrouted.Inc()
-		}
-		up, err := get(shard, false)
-		if err != nil {
-			return
-		}
-		mRtBundles.Inc()
-		msg := append(append(make([]byte, 0, len(line)+1), line...), '\n')
-		if err := forward(up, w, msg); err != nil {
-			return
-		}
+// quarantineLine records a rejected wire line: bounded in memory,
+// complete in the durable store when one is attached. parent, when
+// non-nil, is the ingest span the rejection belongs under.
+func (sh *Shard) quarantineLine(line []byte, key string, cause error, parent *obs.Span) {
+	sh.quarantined.Add(1)
+	mSrvQuarantined.Inc()
+	if parent != nil {
+		defer parent.Child("server.quarantine").End()
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintf(w, "%s %s line exceeds %d byte limit\n", ackErr, ackUnknownKey, ss.limits.MaxLineBytes)
-		w.Flush()
+	entry := QuarantineEntry{
+		Key:    key,
+		Reason: cause.Error(),
+		Line:   append([]byte(nil), line...),
 	}
+	sh.mu.Lock()
+	sh.quarCount++
+	sh.quarantine = append(sh.quarantine, entry)
+	if len(sh.quarantine) > maxQuarantineKept {
+		sh.quarantine = sh.quarantine[len(sh.quarantine)-maxQuarantineKept:]
+	}
+	sh.mu.Unlock()
+	if sh.store != nil {
+		// Best-effort: quarantine persistence failing must not take the
+		// handler down with it.
+		_ = sh.store.AppendQuarantine(entry)
+	}
+}
+
+// Stats returns the shard's verdict counters. Bytes and connections are
+// counted by the Server, so they are zero here.
+func (sh *Shard) Stats() ServerStats {
+	return ServerStats{
+		Accepted:    sh.accepted.Load(),
+		Duplicated:  sh.duplicated.Load(),
+		Quarantined: sh.quarantined.Load(),
+	}
+}
+
+// Quarantine returns the shard's most recent quarantined lines (a copy).
+func (sh *Shard) Quarantine() []QuarantineEntry {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	out := make([]QuarantineEntry, len(sh.quarantine))
+	copy(out, sh.quarantine)
+	return out
+}
+
+// QuarantineCount returns how many lines the shard has rejected in
+// total.
+func (sh *Shard) QuarantineCount() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.quarCount
+}
+
+// Bundles returns the stored bundles for one app (a copy of the slice).
+func (sh *Shard) Bundles(appID string) []*trace.TraceBundle {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	src := sh.byApp[appID]
+	out := make([]*trace.TraceBundle, len(src))
+	copy(out, src)
+	return out
+}
+
+// Count returns the number of bundles the shard stores.
+func (sh *Shard) Count() int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := 0
+	for _, bs := range sh.byApp {
+		n += len(bs)
+	}
+	return n
+}
+
+// Apps returns the app IDs with stored traces on this shard.
+func (sh *Shard) Apps() []string {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	apps := make([]string, 0, len(sh.byApp))
+	for id := range sh.byApp {
+		apps = append(apps, id)
+	}
+	return apps
 }

@@ -15,8 +15,10 @@ import (
 	"repro/internal/collect/seglog"
 	"repro/internal/core"
 	"repro/internal/faults"
+	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/trace"
+	"repro/internal/trace/binenc"
 )
 
 func TestShardOf(t *testing.T) {
@@ -46,7 +48,7 @@ func TestShardOf(t *testing.T) {
 	}
 }
 
-// startSharded runs n shards behind a router, each with its own
+// startSharded runs a server with n shards, each with its own
 // SegStore in a subdirectory of dir. The returned shutdown closes the
 // fleet and its stores; it is idempotent and also runs at cleanup.
 func startSharded(t *testing.T, dir string, n int, extra func(shard int) []ServerOption) (*ShardedServer, func()) {
@@ -148,7 +150,7 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 	if qc := ss.Shards()[ShardOf("opengps", 3)].QuarantineCount(); qc != 1 {
 		t.Fatalf("owning shard quarantined %d, want 1", qc)
 	}
-	// Raw garbage with no app ID at all: the router sends it to shard 0.
+	// Raw garbage with no app ID at all: it is dispatched to shard 0.
 	before := ss.Shards()[0].QuarantineCount()
 	conn, err := net.Dial("tcp", ss.Addr())
 	if err != nil {
@@ -175,7 +177,7 @@ func TestShardedGarbageQuarantined(t *testing.T) {
 }
 
 // TestShardedExactlyOnceUnderFaults is the acceptance test: a faulty
-// binary upload through the router ingests exactly once per bundle,
+// binary upload to a sharded server ingests exactly once per bundle,
 // and the per-app reports from the sharded deployment are
 // byte-identical to a single-shard run over the same upload set.
 func TestShardedExactlyOnceUnderFaults(t *testing.T) {
@@ -194,7 +196,7 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 		return svc
 	}
 
-	// Sharded run: 3 shards behind the router, per-shard serving layer,
+	// Sharded run: 3 shards, per-shard serving layer,
 	// faults on the wire.
 	shardSvcs := make([]*serve.Service, 3)
 	for i := range shardSvcs {
@@ -258,7 +260,7 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 }
 
 // TestShardedRestartResumesDedup: shards reload their own stores, so a
-// full re-upload through a restarted router is all duplicates.
+// full re-upload to a restarted server is all duplicates.
 func TestShardedRestartResumesDedup(t *testing.T) {
 	dir := t.TempDir()
 	var bundles []*trace.TraceBundle
@@ -282,5 +284,117 @@ func TestShardedRestartResumesDedup(t *testing.T) {
 	}
 	if st := ss2.Stats(); st.Accepted != 0 || st.Duplicated != 9 {
 		t.Fatalf("stats after re-upload = %+v, want 9 duplicated", st)
+	}
+}
+
+// appOnShard returns an app ID that ShardOf maps to shard i of n.
+func appOnShard(t *testing.T, i, n int) string {
+	t.Helper()
+	for k := 0; k < 1000; k++ {
+		if app := fmt.Sprintf("app-%d", k); ShardOf(app, n) == i {
+			return app
+		}
+	}
+	t.Fatalf("no app ID found for shard %d of %d", i, n)
+	return ""
+}
+
+// TestShardedConnBundleBudget: MaxBundlesPerConn bounds one client
+// connection no matter how many shards its bundles spread over.
+func TestShardedConnBundleBudget(t *testing.T) {
+	const n, limit = 3, 5
+	ss, _ := startSharded(t, t.TempDir(), n, func(int) []ServerOption {
+		return []ServerOption{WithLimits(Limits{MaxBundlesPerConn: limit})}
+	})
+	conn, err := net.DialTimeout("tcp", ss.Addr(), 2*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if err := conn.SetDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	if _, err := conn.Write([]byte(helloLine)); err != nil {
+		t.Fatal(err)
+	}
+	if echo, err := br.ReadString('\n'); err != nil || echo != helloLine {
+		t.Fatalf("hello echo = %q, %v", echo, err)
+	}
+	oks := 0
+	for i := 0; i < n*limit; i++ {
+		b := bundle(appOnShard(t, i%n, n), fmt.Sprintf("u%d", i), "t1")
+		payload, err := binenc.EncodeBundle(nil, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := conn.Write(binenc.AppendFrame(nil, payload)); err != nil {
+			break // the server already cut the connection
+		}
+		ack, err := br.ReadString('\n')
+		if err != nil {
+			break
+		}
+		if !strings.HasPrefix(ack, ackOK+" ") {
+			if !strings.Contains(ack, "connection bundle limit") {
+				t.Fatalf("bundle %d acked %q, want OK or the bundle-limit rejection", i, ack)
+			}
+			break
+		}
+		oks++
+	}
+	if oks != limit {
+		t.Fatalf("connection got %d bundles acked, want exactly the limit %d", oks, limit)
+	}
+	if _, err := br.ReadString('\n'); err == nil {
+		t.Fatal("connection still open after the bundle limit")
+	}
+	st := ss.Stats()
+	if st.Accepted != limit || st.Duplicated != 0 || st.Quarantined != 0 {
+		t.Fatalf("stats = %+v, want exactly %d accepted", st, limit)
+	}
+	var sum int64
+	for i, shard := range ss.Shards() {
+		got := shard.Stats().Accepted
+		if got == 0 {
+			t.Errorf("shard %d accepted nothing; the budget test must span every shard", i)
+		}
+		sum += got
+	}
+	if sum != st.Accepted {
+		t.Fatalf("shards accepted %d in all, server reports %d", sum, st.Accepted)
+	}
+}
+
+// TestShardedQuarantineGauges: the process-wide quarantine gauges of a
+// sharded server report the sum over its shards, not one shard's ring.
+func TestShardedQuarantineGauges(t *testing.T) {
+	const n = 3
+	ss, _ := startSharded(t, t.TempDir(), n, nil)
+	c := NewClient(ss.Addr(), WithRetry(1, time.Millisecond, time.Millisecond))
+	for _, shard := range []int{0, 1} {
+		broken := bundle(appOnShard(t, shard, n), "u", "t1")
+		broken.Event.Records = broken.Event.Records[:1] // unbalanced
+		var rej *RejectedError
+		if err := c.Upload(charging(), []*trace.TraceBundle{broken}); !errors.As(err, &rej) {
+			t.Fatalf("broken bundle for shard %d: err = %v, want *RejectedError", shard, err)
+		}
+	}
+	kept, count := 0, 0
+	for i, shard := range ss.Shards() {
+		if i < 2 && shard.QuarantineCount() != 1 {
+			t.Fatalf("shard %d quarantined %d lines, want 1", i, shard.QuarantineCount())
+		}
+		kept += len(shard.Quarantine())
+		count += shard.QuarantineCount()
+	}
+	for name, want := range map[string]int{"collect_quarantine_kept": kept, "collect_quarantine_count": count} {
+		got, ok := obs.Default.Value(name)
+		if !ok {
+			t.Fatalf("gauge %s not registered", name)
+		}
+		if int(got) != want {
+			t.Errorf("gauge %s = %v, want %d (the sum over shards)", name, got, want)
+		}
 	}
 }

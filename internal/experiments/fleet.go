@@ -17,9 +17,9 @@ import (
 )
 
 // Fleet-scale ingest benchmark: N synthetic phone sessions across M
-// apps upload through the sharded binary ingest path (router → hashed
-// collectd shards → segmented group-commit log → per-shard incremental
-// analysis) while the benchmark samples how stale the freshest report
+// apps upload through the sharded binary ingest path (one listener
+// dispatching each decoded bundle in-process to its hash(appID) shard →
+// segmented group-commit log → per-shard incremental analysis) while the benchmark samples how stale the freshest report
 // is. The defaults keep `reproduce -exp all` and the registry test
 // quick; the headline configuration from the paper-scale run is
 //
@@ -189,8 +189,8 @@ func durQuantile(sorted []time.Duration, q float64) time.Duration {
 	return sorted[i]
 }
 
-// RunFleet drives the fleet benchmark: per-shard SegStores behind the
-// ingest router, per-shard serving layers fed by ingest hooks, and
+// RunFleet drives the fleet benchmark: per-shard SegStores under one
+// sharded ingest server, per-shard serving layers fed by ingest hooks, and
 // FLEET_UPLOADERS concurrent binary clients uploading FLEET_SESSIONS
 // synthetic sessions. It reports sustained QPS, ack-latency and
 // report-staleness quantiles, and the group-commit fsync amortization.

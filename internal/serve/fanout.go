@@ -13,8 +13,8 @@ import (
 // analyzers), with the HTTP surface re-unified here. App-scoped
 // endpoints delegate to the owning service; fleet-scoped endpoints
 // merge across every service. Ownership needs no routing table: each
-// app is tracked by exactly one service (the ingest router partitions
-// by app ID), so the owner is the service that knows the app.
+// app is tracked by exactly one service (ingest dispatch partitions by
+// app ID), so the owner is the service that knows the app.
 type Fanout struct {
 	svcs     []*Service
 	handlers []http.Handler

@@ -26,9 +26,9 @@
 // real traces compress to one or two bytes per record.
 //
 //	u8       payload version (= 1)
-//	str      bundle content key        } decodable by FrameHeader alone,
-//	str      event appID               } so a router can pick a shard
-//	str      event userID                without decoding the columns
+//	str      bundle content key
+//	str      event appID
+//	str      event userID
 //	str      event device
 //	str      event traceID
 //	uvarint  #dictionary keys, then per key: str class, str callback
@@ -435,34 +435,4 @@ func DecodeBundle(payload []byte) (*trace.TraceBundle, error) {
 		return nil, fmt.Errorf("binenc: %d trailing bytes after payload", len(d.buf)-d.off)
 	}
 	return b, nil
-}
-
-// Header is the routable prefix of a payload: enough to deduplicate and
-// shard a frame without decoding its columns.
-type Header struct {
-	// Key is the bundle's stamped content key ("" for legacy bundles).
-	Key string
-	// AppID is the event trace's app ID — the shard-routing key.
-	AppID string
-}
-
-// FrameHeader decodes only the leading fields of a version-1 payload.
-// The router uses it to pick a shard per frame in O(header) work.
-func FrameHeader(payload []byte) (Header, error) {
-	d := &decoder{buf: payload}
-	ver, err := d.u8()
-	if err != nil {
-		return Header{}, err
-	}
-	if ver != Version {
-		return Header{}, fmt.Errorf("%w: %d", ErrBadVersion, ver)
-	}
-	var h Header
-	if h.Key, err = d.str(); err != nil {
-		return Header{}, fmt.Errorf("binenc: key: %w", err)
-	}
-	if h.AppID, err = d.str(); err != nil {
-		return Header{}, fmt.Errorf("binenc: appID: %w", err)
-	}
-	return h, nil
 }

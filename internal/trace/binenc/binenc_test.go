@@ -327,22 +327,6 @@ func TestDecodeTruncatedPayload(t *testing.T) {
 	}
 }
 
-func TestFrameHeader(t *testing.T) {
-	for i, b := range corpus(t) {
-		payload := mustEncode(t, b)
-		h, err := FrameHeader(payload)
-		if err != nil {
-			t.Fatalf("bundle %d: FrameHeader: %v", i, err)
-		}
-		if h.Key != b.Key || h.AppID != b.Event.AppID {
-			t.Fatalf("bundle %d: header {%q %q}, want {%q %q}", i, h.Key, h.AppID, b.Key, b.Event.AppID)
-		}
-	}
-	if _, err := FrameHeader(nil); err == nil {
-		t.Fatal("want error for empty payload")
-	}
-}
-
 // TestBinarySmallerThanText sanity-checks the size win that motivates
 // the codec on realistic workload traffic.
 func TestBinarySmallerThanText(t *testing.T) {
