@@ -1,7 +1,12 @@
 // Command collectd runs the EnergyDx trace-collection server. Phones
-// (or cmd/tracegen) upload JSON-lines trace bundles over TCP; on
-// shutdown (SIGINT/SIGTERM) the server dumps its stored corpus as one
+// (or cmd/tracegen) upload JSON-lines or binary trace bundles over TCP;
+// on shutdown (SIGINT/SIGTERM) the server dumps its stored corpus as one
 // JSONL file per app.
+//
+// With -store each shard's corpus lives in a segmented binary log with
+// group commit, which a restart serves and deduplicates against; JSONL
+// store files found there are imported on start. Without -store the
+// corpus lives in memory.
 //
 // The -faults flag turns the server into a chaos rig: received lines
 // are corrupted, truncated, duplicated, delayed or their connections
@@ -36,18 +41,16 @@
 // For fleet-scale ingest, -shards N partitions the corpus into N
 // in-process shards by hash(appID): the one listener decodes each
 // bundle and hands it to the shard that owns its app, which keeps that
-// app's store partition and analyzers. -store-format seg switches the
-// durable store to the segmented binary log with group commit
-// (fsyncs are amortized across concurrent uploads). In sharded mode
-// the analysis surface is served through a fanout that delegates
-// app-scoped endpoints to the owning shard.
+// app's store partition and analyzers. In sharded mode the analysis
+// surface is served through a fanout that delegates app-scoped
+// endpoints to the owning shard.
 //
 // Usage:
 //
 //	collectd -addr 127.0.0.1:7600 -out ./corpora
 //	collectd -store ./store -faults 'corrupt=0.1,drop=0.05,seed=7'
 //	collectd -debug-addr 127.0.0.1:7601 -serve-analysis
-//	collectd -shards 4 -store ./store -store-format seg
+//	collectd -shards 4 -store ./store
 package main
 
 import (
@@ -58,6 +61,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"sort"
 	"syscall"
 	"time"
 
@@ -83,10 +87,9 @@ func run() error {
 	var (
 		addr         = flag.String("addr", "127.0.0.1:7600", "listen address")
 		out          = flag.String("out", ".", "directory for per-app corpus dumps on shutdown")
-		storeDir     = flag.String("store", "", "durable store directory: bundles are persisted as they arrive and reloaded on restart")
-		storeFormat  = flag.String("store-format", "jsonl", "durable store format: 'jsonl' (one JSONL file per app, one fsync per bundle) or 'seg' (segmented binary log with group commit — the fleet-scale format)")
+		storeDir     = flag.String("store", "", "durable store directory (segmented binary log): bundles are persisted as they arrive and served and deduplicated against after a restart; JSONL store files found there are imported on start")
 		shards       = flag.Int("shards", 1, "in-process ingest shards partitioned by hash(appID); each shard owns its apps' store partition and analyzers (with -store, shard i keeps its partition in <store>/shard-<i> when N > 1)")
-		parallelism  = flag.Int("parallelism", 0, "worker count for the shutdown corpus dump (0 = GOMAXPROCS, 1 = serial)")
+		parallelism  = flag.Int("parallelism", 0, "worker count writing the shutdown dump's per-app files, after one read pass over each shard's store (0 = GOMAXPROCS, 1 = serial)")
 		faultSpec    = flag.String("faults", "", "chaos fault injection on received lines, e.g. 'corrupt=0.1,truncate=0.05,duplicate=0.1,drop=0.05,delay=0.2,seed=7'")
 		maxLineBytes = flag.Int("max-line-bytes", 0, "reject serialized bundles over this size (0 = default 16 MiB)")
 		maxRecords   = flag.Int("max-records", 0, "reject bundles with more event records than this (0 = default)")
@@ -107,15 +110,6 @@ func run() error {
 
 	if *shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if *storeFormat != "jsonl" && *storeFormat != "seg" {
-		return fmt.Errorf("unknown -store-format %q (want jsonl or seg)", *storeFormat)
-	}
-	newStore := func(dir string) (collect.Store, error) {
-		if *storeFormat == "seg" {
-			return collect.NewSegStore(dir, seglog.Options{})
-		}
-		return collect.NewFileStore(dir)
 	}
 
 	var injector *faults.Injector
@@ -202,7 +196,7 @@ func run() error {
 		logger.Info("debug endpoints up", "addr", debug.Addr(), "paths", paths)
 	}
 
-	var stores []collect.Store
+	var stores []*collect.SegStore
 	defer func() {
 		for _, st := range stores {
 			st.Close()
@@ -216,7 +210,7 @@ func run() error {
 			if *shards > 1 {
 				dir = filepath.Join(dir, fmt.Sprintf("shard-%d", i))
 			}
-			store, err := newStore(dir)
+			store, err := openStore(dir, logger)
 			if err != nil {
 				buildErr = errors.Join(buildErr, err)
 				return o
@@ -237,24 +231,29 @@ func run() error {
 		return buildErr
 	}
 	// Warm the analysis services from the restored stores so reports are
-	// available before the first new upload arrives. Each app warms the
-	// service of the shard that owns it — the same partition live
+	// available before the first new upload arrives: each shard's store
+	// streams into that shard's service, the same partition live
 	// traffic is dispatched by.
-	if len(svcs) > 0 && srv.Count() > 0 {
-		for _, app := range srv.Apps() {
-			svc := svcs[collect.ShardOf(app, *shards)]
-			for _, b := range srv.Bundles(app) {
-				svc.Notify(b)
+	if len(svcs) > 0 && *storeDir != "" {
+		restored := 0
+		for i, sh := range srv.Shards() {
+			err := sh.Scan(func(b *trace.TraceBundle) error {
+				svcs[i].Notify(b)
+				restored++
+				return nil
+			})
+			if err != nil {
+				srv.Close()
+				return fmt.Errorf("warm analysis from shard %d: %w", i, err)
 			}
 		}
 		for _, svc := range svcs {
 			svc.Flush()
 		}
-		logger.Info("analysis warmed from restored store", "bundles", srv.Count())
+		logger.Info("analysis warmed from restored store", "restored_bundles", restored)
 	}
 	health.SetReady(true)
-	logger.Info("listening", "addr", srv.Addr(), "restored_bundles", srv.Count(),
-		"shards", *shards, "store_format", *storeFormat)
+	logger.Info("listening", "addr", srv.Addr(), "shards", *shards, "durable", *storeDir != "")
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
@@ -265,7 +264,7 @@ func run() error {
 	health.ShuttingDown()
 	preClose := srv.Stats()
 	logger.Info("shutdown signal received", "signal", got.String(),
-		"bundles", srv.Count(), "quarantined", srv.QuarantineCount(),
+		"quarantined", srv.QuarantineCount(),
 		"connections_inflight", preClose.ConnsOpen)
 	start := time.Now()
 	if err := srv.Close(); err != nil {
@@ -281,15 +280,30 @@ func run() error {
 	if injector != nil {
 		logger.Info("injected faults", "stats", injector.Stats().String())
 	}
-	// Per-app dumps are independent files, so they fan out through the
-	// pool; paths log serially afterwards to keep the output readable.
-	appIDs := srv.Apps()
+	// One read pass per shard groups the corpus by app; the per-app
+	// dumps are independent files, so they fan out through the pool.
+	// Paths log serially afterwards to keep the output readable.
+	corpus := make(map[string][]*trace.TraceBundle)
+	for i, sh := range srv.Shards() {
+		err := sh.Scan(func(b *trace.TraceBundle) error {
+			corpus[b.Event.AppID] = append(corpus[b.Event.AppID], b)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("read shard %d for the dump: %w", i, err)
+		}
+	}
+	appIDs := make([]string, 0, len(corpus))
+	for app := range corpus {
+		appIDs = append(appIDs, app)
+	}
+	sort.Strings(appIDs)
 	type dumpStat struct {
 		path    string
 		bundles int
 	}
 	dumps, err := parallel.Map(*parallelism, len(appIDs), func(i int) (dumpStat, error) {
-		bundles := srv.Bundles(appIDs[i])
+		bundles := corpus[appIDs[i]]
 		path := filepath.Join(*out, appIDs[i]+".jsonl")
 		if err := dump(path, bundles); err != nil {
 			return dumpStat{}, fmt.Errorf("%s: %w", appIDs[i], err)
@@ -306,6 +320,24 @@ func run() error {
 	}
 	logger.Info("shutdown complete", "apps_flushed", len(dumps), "bundles_flushed", flushed)
 	return nil
+}
+
+// openStore opens the segmented store in dir and imports any JSONL
+// store files found there.
+func openStore(dir string, logger *slog.Logger) (*collect.SegStore, error) {
+	store, err := collect.NewSegStore(dir, seglog.Options{})
+	if err != nil {
+		return nil, err
+	}
+	imported, torn, err := collect.ImportJSONL(store, dir)
+	if err != nil {
+		store.Close()
+		return nil, err
+	}
+	if imported > 0 || torn > 0 {
+		logger.Info("imported JSONL store", "dir", dir, "bundles", imported, "torn_lines_dropped", torn)
+	}
+	return store, nil
 }
 
 func dump(path string, bundles []*trace.TraceBundle) error {

@@ -3,6 +3,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -18,8 +19,8 @@ import (
 //
 //   - Group commit amortizes durability: with 64 concurrent uploaders
 //     hammering one SegStore-backed server, fsyncs-per-bundle must stay
-//     under 0.25 and throughput at least 5x the per-bundle-Sync
-//     FileStore baseline.
+//     under 0.25 and throughput at least 5x a per-bundle-Sync JSONL
+//     baseline (syncStore).
 //   - The whole sharded fleet (in-process dispatch → shards →
 //     group-commit log → per-shard analysis) sustains its floors end to end: every session
 //     accepted exactly once, QPS above floor, p99 report staleness
@@ -59,7 +60,9 @@ func fleetGateSession(i, apps int) *trace.TraceBundle {
 // strategy under test (group commit vs per-bundle Sync) from wire and
 // codec CPU, which on a small runner would otherwise cap the arrival
 // rate below the fsync rate and hide the batching.
-func fleetStoreRun(tb testing.TB, store collect.Store, uploaders int, bundles []*trace.TraceBundle) time.Duration {
+func fleetStoreRun(tb testing.TB, store interface {
+	Append(*trace.TraceBundle) error
+}, uploaders int, bundles []*trace.TraceBundle) time.Duration {
 	tb.Helper()
 	per := (len(bundles) + uploaders - 1) / uploaders
 	errs := make([]error, uploaders)
@@ -94,6 +97,33 @@ func fleetStoreRun(tb testing.TB, store collect.Store, uploaders int, bundles []
 	return elapsed
 }
 
+// syncStore is the durability strategy group commit replaces: under one
+// mutex, each bundle is JSONL-encoded onto an append-only file and
+// fsynced before Append returns, so throughput is capped at one bundle
+// per fsync latency.
+type syncStore struct {
+	mu sync.Mutex
+	f  *os.File
+}
+
+func newSyncStore(tb testing.TB) *syncStore {
+	f, err := os.Create(filepath.Join(tb.TempDir(), "bundles.jsonl"))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.Close() })
+	return &syncStore{f: f}
+}
+
+func (s *syncStore) Append(b *trace.TraceBundle) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := trace.EncodeBundle(s.f, b); err != nil {
+		return err
+	}
+	return s.f.Sync()
+}
+
 // fleetIngestUploaders and fleetIngestSessions shape the group-commit
 // microbenchmark (shared by the gate and the BENCH_sweep entries).
 const (
@@ -102,7 +132,7 @@ const (
 )
 
 // ingestSweepEntries measures the group-commit SegStore against the
-// per-bundle-Sync FileStore under the standard 64-uploader load and
+// per-bundle-Sync syncStore under the standard 64-uploader load and
 // returns the two BENCH_sweep entries ("ingest/group-commit" and
 // "ingest/sync-per-bundle").
 func ingestSweepEntries(tb testing.TB) []sweepEntry {
@@ -122,12 +152,7 @@ func ingestSweepEntries(tb testing.TB) []sweepEntry {
 	segElapsed := fleetStoreRun(tb, seg, fleetIngestUploaders, bundles)
 	ls := seg.Log().Stats()
 
-	fs, err := collect.NewFileStore(tb.TempDir())
-	if err != nil {
-		tb.Fatal(err)
-	}
-	defer fs.Close()
-	fsElapsed := fleetStoreRun(tb, fs, fleetIngestUploaders, bundles)
+	fsElapsed := fleetStoreRun(tb, newSyncStore(tb), fleetIngestUploaders, bundles)
 
 	segEntry := sweepEntry{
 		Name:            "ingest/group-commit",

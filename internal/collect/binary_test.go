@@ -282,33 +282,12 @@ func TestQuarantinePersistsInSegStore(t *testing.T) {
 	}
 }
 
-// TestSanitizeAppIDNoCollision is the regression test for the store
-// filename collision: "a/b" and "a_b" used to share one file.
-func TestSanitizeAppIDNoCollision(t *testing.T) {
-	cases := [][2]string{
-		{"a/b", "a_b"},
-		{"a.b", "a/b"},
-		{"x y", "x_y"},
-		{"приложение", "__________"},
-	}
-	for _, c := range cases {
-		if sanitizeAppID(c[0]) == sanitizeAppID(c[1]) {
-			t.Errorf("sanitizeAppID collision: %q and %q -> %q", c[0], c[1], sanitizeAppID(c[0]))
-		}
-	}
-	// Clean IDs keep their historical filenames (store compatibility).
-	for _, clean := range []string{"k9mail", "com.example.app", "a_b", "A-1.2_3"} {
-		if got := sanitizeAppID(clean); got != clean {
-			t.Errorf("sanitizeAppID(%q) = %q, want unchanged", clean, got)
-		}
-	}
-}
-
-// TestFileStoreCollisionSeparatesApps drives the collision end to end:
-// two colliding app IDs land in distinct files and reload distinctly.
-func TestFileStoreCollisionSeparatesApps(t *testing.T) {
+// TestSegStoreCollisionSeparatesApps: app IDs that a file-per-app
+// layout would have had to sanitize onto one name ("a/b" and "a_b")
+// stay two apps through a SegStore round trip.
+func TestSegStoreCollisionSeparatesApps(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +299,7 @@ func TestFileStoreCollisionSeparatesApps(t *testing.T) {
 		}
 	}
 	store.Close()
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/apps"
+	"repro/internal/collect/seglog"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/trace"
@@ -108,11 +109,11 @@ func TestSoakFaultInjectedConvergence(t *testing.T) {
 	goldenReport := soakReport(t, golden, corpus.ImpactedPercent)
 
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	srv, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +204,12 @@ func TestSoakFaultInjectedConvergence(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	srv2, err := NewServer("127.0.0.1:0", WithFileStore(store2))
+	srv2, err := NewServer("127.0.0.1:0", WithStore(store2))
 	if err != nil {
 		t.Fatal(err)
 	}

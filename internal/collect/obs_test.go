@@ -125,8 +125,8 @@ func TestMetricsReconcileUnderFaults(t *testing.T) {
 	if acked < int64(len(corpus.Bundles)) {
 		t.Errorf("clients acked %d bundles, want at least %d", acked, len(corpus.Bundles))
 	}
-	// Without a durable store there are no reload-skipped lines, so the
-	// wire counter and the quarantine total agree exactly.
+	// The quarantine total counts only lines rejected on the wire, so
+	// the wire counter and it agree exactly.
 	if st.Quarantined != int64(srv.QuarantineCount()) {
 		t.Errorf("quarantined counter %d != quarantine count %d", st.Quarantined, srv.QuarantineCount())
 	}

@@ -3,13 +3,16 @@ package collect
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/collect/seglog"
 	"repro/internal/trace"
 )
 
@@ -191,11 +194,11 @@ func TestQuarantineRingIsBounded(t *testing.T) {
 
 func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	s, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +225,7 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,8 +237,8 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 	if len(entries) != 1 || string(entries[0].Line) != "broken line" {
 		t.Fatalf("persisted quarantine = %+v, want the rejected line", entries)
 	}
-	// Load returns only accepted bundles: the quarantine subdirectory
-	// must never be picked up as a corpus file.
+	// Load returns only accepted bundles: quarantine records must never
+	// be picked up as corpus.
 	loaded, skipped, err := store2.Load()
 	if err != nil {
 		t.Fatal(err)
@@ -252,42 +255,162 @@ func TestQuarantinePersistsAndNeverLoadsAsCorpus(t *testing.T) {
 	}
 }
 
-func TestStoreLoadToleratesTornTrailingLine(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewFileStore(dir)
-	if err != nil {
+// writeLegacyStore lays out one directory of the JSONL store format
+// ImportJSONL migrates: one <app>.jsonl file per app, then optionally a
+// torn partial record appended to the first app's file (a crash
+// mid-append), and the rejected lines in quarantine/rejected.jsonl.
+func writeLegacyStore(t *testing.T, dir string, perApp map[string][]*trace.TraceBundle, torn string, rejected []QuarantineEntry) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Join(dir, quarantineDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append(bundle("app", "u1", "t1")); err != nil {
-		t.Fatal(err)
+	first := true
+	for _, app := range sortedApps(perApp) {
+		var buf bytes.Buffer
+		if err := trace.WriteBundles(&buf, perApp[app]); err != nil {
+			t.Fatal(err)
+		}
+		if first {
+			buf.WriteString(torn)
+			first = false
+		}
+		if err := os.WriteFile(filepath.Join(dir, app+".jsonl"), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
+	if len(rejected) > 0 {
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for _, e := range rejected {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := os.WriteFile(filepath.Join(dir, quarantineDir, quarantineFile), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	// Simulate a crash mid-append: a torn, unterminated partial record.
-	path := filepath.Join(dir, "app.jsonl")
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"event":{"appId":"app","rec`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+}
 
-	store2, err := NewFileStore(dir)
+func sortedApps(perApp map[string][]*trace.TraceBundle) []string {
+	apps := make([]string, 0, len(perApp))
+	for app := range perApp {
+		apps = append(apps, app)
+	}
+	sort.Strings(apps)
+	return apps
+}
+
+// TestStoreLoadToleratesTornTrailingLine: ImportJSONL migrates the JSONL
+// store layout, one shard directory at a time, into SegStores. A torn
+// trailing line (a crash mid-append, never acked) is dropped and
+// counted, each app keeps its order, the quarantine carries over, and a
+// re-run — after success, or after a crash before the renames — stores
+// nothing twice.
+func TestStoreLoadToleratesTornTrailingLine(t *testing.T) {
+	root := t.TempDir()
+	keyed := func(app, user, id string) *trace.TraceBundle {
+		b := bundle(app, user, id)
+		b.Key = trace.ContentKey(b)
+		return b
+	}
+	shard0 := map[string][]*trace.TraceBundle{
+		"app":   {keyed("app", "u3", "t1"), keyed("app", "u1", "t2"), keyed("app", "u2", "t3")},
+		"other": {keyed("other", "u1", "t1")},
+	}
+	shard1 := map[string][]*trace.TraceBundle{
+		"third": {keyed("third", "u2", "t1"), keyed("third", "u1", "t2")},
+	}
+	rejected := []QuarantineEntry{
+		{Reason: "decode: bad", Line: []byte("junk 1")},
+		{Key: "k", Reason: "integrity: bad", Line: []byte("junk 2")},
+	}
+	dir0, dir1 := filepath.Join(root, "shard-0"), filepath.Join(root, "shard-1")
+	writeLegacyStore(t, dir0, shard0, `{"event":{"appId":"app","rec`, rejected)
+	writeLegacyStore(t, dir1, shard1, "", nil)
+
+	importDir := func(dir string) (*SegStore, int, int) {
+		t.Helper()
+		store, err := NewSegStore(dir, seglog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		imported, torn, err := ImportJSONL(store, dir)
+		if err != nil {
+			t.Fatalf("torn trailing line must not fail the import: %v", err)
+		}
+		return store, imported, torn
+	}
+	checkCorpus := func(store *SegStore, want map[string][]*trace.TraceBundle) {
+		t.Helper()
+		loaded, _, err := store.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded) != len(want) {
+			t.Fatalf("loaded apps %v, want %v", sortedApps(loaded), sortedApps(want))
+		}
+		for app, bs := range want {
+			if len(loaded[app]) != len(bs) {
+				t.Fatalf("app %s: loaded %d bundles, want the %d intact ones", app, len(loaded[app]), len(bs))
+			}
+			for i, b := range bs {
+				if loaded[app][i].Key != b.Key {
+					t.Errorf("app %s bundle %d: key %s, want %s (per-app order lost)", app, i, loaded[app][i].Key, b.Key)
+				}
+			}
+		}
+	}
+
+	store0, imported, torn := importDir(dir0)
+	if imported != 4 || torn != 1 {
+		t.Errorf("shard-0 import: %d imported, %d torn; want 4 and 1", imported, torn)
+	}
+	checkCorpus(store0, shard0)
+	entries, err := store0.LoadQuarantine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store2.Close()
-	loaded, skipped, err := store2.Load()
+	if len(entries) != 2 || string(entries[0].Line) != "junk 1" || entries[1].Key != "k" {
+		t.Errorf("imported quarantine = %+v, want the 2 rejected lines in order", entries)
+	}
+	store1, imported, torn := importDir(dir1)
+	if imported != 2 || torn != 0 {
+		t.Errorf("shard-1 import: %d imported, %d torn; want 2 and 0", imported, torn)
+	}
+	checkCorpus(store1, shard1)
+	store1.Close()
+	for _, name := range []string{"app.jsonl", "other.jsonl", filepath.Join(quarantineDir, quarantineFile)} {
+		if _, err := os.Stat(filepath.Join(dir0, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s still in place after import (stat err %v)", name, err)
+		}
+		if _, err := os.Stat(filepath.Join(dir0, name+".imported")); err != nil {
+			t.Errorf("%s not renamed to .imported: %v", name, err)
+		}
+	}
+
+	// A second run finds nothing left to import.
+	if imported, torn, err := ImportJSONL(store0, dir0); err != nil || imported != 0 || torn != 0 {
+		t.Errorf("re-run = %d imported, %d torn, %v; want nothing", imported, torn, err)
+	}
+	// A crash after the appends but before the renames leaves the
+	// files in place; the re-run appends none of their bundles again.
+	for _, app := range []string{"app", "other"} {
+		path := filepath.Join(dir0, app+".jsonl")
+		if err := os.Rename(path+".imported", path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if imported, _, err := ImportJSONL(store0, dir0); err != nil || imported != 0 {
+		t.Errorf("re-run after a crash imported %d bundles (%v), want 0", imported, err)
+	}
+	if err := store0.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := NewSegStore(dir0, seglog.Options{})
 	if err != nil {
-		t.Fatalf("torn trailing line must not fail the load: %v", err)
+		t.Fatal(err)
 	}
-	if skipped != 1 {
-		t.Errorf("skipped = %d torn lines, want 1", skipped)
-	}
-	if len(loaded["app"]) != 1 {
-		t.Errorf("loaded %d bundles, want the 1 intact one", len(loaded["app"]))
-	}
+	defer reopened.Close()
+	checkCorpus(reopened, shard0)
 }

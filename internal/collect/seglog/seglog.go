@@ -606,9 +606,11 @@ func (l *Log) rotateLocked() error {
 
 // Scan streams every live record (bundles and quarantine, not
 // tombstones) in replay order. The body slice is only valid during the
-// callback. Every record live at the start of the scan is delivered or
-// the scan fails: a concurrent compaction cannot delete the snapshot's
-// segments until the scan ends, so fn must not call Scan itself.
+// callback; an error fn returns ends the scan, wrapped with the
+// record's segment and key. Every record live at the start of the scan
+// is delivered or the scan fails: a concurrent compaction cannot
+// delete the snapshot's segments until the scan ends, so fn must not
+// call Scan itself.
 func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 	l.pin.RLock()
 	defer l.pin.RUnlock()
@@ -637,7 +639,10 @@ func (l *Log) Scan(fn func(typ byte, key string, body []byte) error) error {
 			if !ok || ref.seg != name || ref.off != off {
 				return nil // superseded, tombstoned, or a stale copy
 			}
-			return fn(typ, key, body)
+			if err := fn(typ, key, body); err != nil {
+				return fmt.Errorf("seglog: %s record %q: %w", name, key, err)
+			}
+			return nil
 		})
 		if err != nil {
 			return err

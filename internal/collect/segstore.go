@@ -10,14 +10,14 @@ import (
 	"repro/internal/trace/binenc"
 )
 
-// SegStore is the fleet-scale Store: accepted bundles land as binenc
+// SegStore is the durable Store: accepted bundles land as binenc
 // payloads in a segmented append-only log (internal/collect/seglog),
-// addressed by their dedup key. Appends are group-committed — many
-// concurrent uploads share each fsync — which is what lets ingest
-// throughput scale with connection count instead of being capped at
-// one bundle per fsync latency like the per-app JSONL store.
-// Quarantined lines ride in the same log as typed records, so one
-// directory, one recovery path and one compactor cover everything.
+// addressed by their dedup key, whose in-memory key index answers Has.
+// Appends are group-committed — many concurrent uploads share each
+// fsync — so ingest throughput scales with connection count instead of
+// being capped at one bundle per fsync latency. Quarantined lines ride
+// in the same log as typed records, so one directory, one recovery path
+// and one compactor cover everything.
 type SegStore struct {
 	log *seglog.Log
 }
@@ -47,29 +47,42 @@ func (s *SegStore) Append(b *trace.TraceBundle) error {
 	return nil
 }
 
-// Load replays every live bundle, keyed by app ID. Bundles whose
-// payloads fail to decode (impossible without disk corruption that
-// also beat the CRC) are skipped and counted like FileStore's torn
-// lines.
-func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
-	out := make(map[string][]*trace.TraceBundle)
-	skipped := 0
+// Has reports whether a bundle with this dedup key is live in the log.
+func (s *SegStore) Has(key string) bool { return s.log.Has(key) }
+
+// Scan decodes and streams every live bundle in append order. A record
+// that passed its CRC but does not decode fails the scan, naming its
+// segment and key.
+func (s *SegStore) Scan(fn func(*trace.TraceBundle) error) error {
 	err := s.log.Scan(func(typ byte, key string, body []byte) error {
 		if typ != seglog.TypeBundle {
 			return nil
 		}
 		b, err := binenc.DecodeBundle(body)
 		if err != nil {
-			skipped++
-			return nil
+			return fmt.Errorf("decode bundle: %w", err)
 		}
+		return fn(b)
+	})
+	if err != nil {
+		return fmt.Errorf("collect: segstore scan: %w", err)
+	}
+	return nil
+}
+
+// Load reads every live bundle back, keyed by app ID, in append order
+// within each app. The skipped count is always 0: an undecodable record
+// fails the load (see Scan).
+func (s *SegStore) Load() (map[string][]*trace.TraceBundle, int, error) {
+	out := make(map[string][]*trace.TraceBundle)
+	err := s.Scan(func(b *trace.TraceBundle) error {
 		out[b.Event.AppID] = append(out[b.Event.AppID], b)
 		return nil
 	})
 	if err != nil {
-		return nil, skipped, fmt.Errorf("collect: segstore load: %w", err)
+		return nil, 0, err
 	}
-	return out, skipped, nil
+	return out, 0, nil
 }
 
 // AppendQuarantine durably records one rejected line as a quarantine
@@ -85,7 +98,8 @@ func (s *SegStore) AppendQuarantine(entry QuarantineEntry) error {
 	return nil
 }
 
-// LoadQuarantine replays quarantine records in arrival order.
+// LoadQuarantine replays quarantine records in arrival order. A record
+// that does not decode fails the load, naming its segment and key.
 func (s *SegStore) LoadQuarantine() ([]QuarantineEntry, error) {
 	type keyed struct {
 		key   string
@@ -98,7 +112,7 @@ func (s *SegStore) LoadQuarantine() ([]QuarantineEntry, error) {
 		}
 		var e QuarantineEntry
 		if err := json.Unmarshal(body, &e); err != nil {
-			return nil // unreadable quarantine record: nothing to diagnose
+			return fmt.Errorf("decode quarantine entry: %w", err)
 		}
 		rows = append(rows, keyed{key: key, entry: e})
 		return nil

@@ -157,9 +157,8 @@ type ServerStats struct {
 	// Duplicated is the count of re-uploads recognized by content key
 	// and acknowledged without storing again.
 	Duplicated int64
-	// Quarantined is the count of rejected wire lines. Torn store
-	// lines skipped at reload are excluded (they were never received on
-	// this server's wire); QuarantineCount includes them.
+	// Quarantined is the count of rejected wire lines; QuarantineCount
+	// reports the same total.
 	Quarantined int64
 	// BytesIngested is the wire bytes offered to ingestion, hello lines
 	// included. Bytes are counted where they are read, so a Shard's
@@ -178,8 +177,8 @@ type ServerStats struct {
 // hand the bundle to the Shard that owns its app (ShardOf); an
 // unsharded server is simply a server with one shard. Limits, fault
 // injection, the tracer and the per-connection budgets belong to the
-// server; stores, ingest hooks, dedup state, quarantine rings and
-// verdict counters belong to each shard.
+// server; stores (each shard's corpus and dedup authority), ingest
+// hooks, quarantine rings and verdict counters belong to each shard.
 type Server struct {
 	ln       net.Listener
 	shards   []*Shard
@@ -201,16 +200,11 @@ type Server struct {
 // shares.
 type ServerOption func(*Server, *Shard)
 
-// WithFileStore persists accepted bundles to a durable store and, at
-// startup, reloads (and deduplicates against) everything the store
-// already holds — so a restarted server continues where it stopped.
-func WithFileStore(store *FileStore) ServerOption {
-	return WithStore(store)
-}
-
-// WithStore is WithFileStore for any Store implementation — in
-// particular SegStore, the group-committing segmented log that the
-// fleet-scale deployment uses.
+// WithStore makes store the shard's corpus: accepted bundles are
+// appended to it, dedup asks it, and every read of the corpus scans
+// it. With a durable store (SegStore) a restarted server continues
+// where it stopped. Without this option the shard keeps its corpus in
+// memory.
 func WithStore(store Store) ServerOption {
 	return func(_ *Server, sh *Shard) { sh.store = store }
 }

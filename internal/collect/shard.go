@@ -40,8 +40,8 @@ type ShardedServer = Server
 // last one applied wins).
 //
 // Exactly-once holds per shard: a bundle's content key decides its
-// owner, so a retry lands on the same dedup map and durable store as
-// the original upload.
+// owner, so a retry lands on the same store as the original upload. A
+// shard whose options carry no store keeps its corpus in memory.
 func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOption) (*ShardedServer, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("collect: shard count %d < 1", n)
@@ -54,8 +54,8 @@ func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOpti
 				o(s, sh)
 			}
 		}
-		if err := sh.load(); err != nil {
-			return nil, fmt.Errorf("collect: shard %d: %w", i, err)
+		if sh.store == nil {
+			sh.store = newMemStore()
 		}
 		s.shards = append(s.shards, sh)
 	}
@@ -72,7 +72,7 @@ func NewShardedServer(addr string, n int, shardOpts func(shard int) []ServerOpti
 		"quarantined lines currently held in the in-memory rings",
 		func() float64 { return float64(len(s.Quarantine())) })
 	obs.Default.GaugeFunc("collect_quarantine_count",
-		"total lines rejected into quarantine, including rotated-out and reload-skipped ones",
+		"total lines rejected into quarantine, including rotated-out ones",
 		func() float64 { return float64(s.QuarantineCount()) })
 	s.handler.Add(1)
 	go s.acceptLoop()
@@ -87,7 +87,8 @@ func (s *Server) owner(appID string) *Shard {
 	return s.shards[ShardOf(appID, len(s.shards))]
 }
 
-// Bundles returns the stored bundles for one app, read from its shard.
+// Bundles returns the stored bundles for one app in append order, read
+// from its shard's store.
 func (s *Server) Bundles(appID string) []*trace.TraceBundle {
 	return s.owner(appID).Bundles(appID)
 }
@@ -132,18 +133,17 @@ func (s *Server) QuarantineCount() int {
 }
 
 // Shard is one partition of a Server's corpus: the apps ShardOf maps to
-// it, with their store, ingest hook, dedup state, quarantine ring and
-// verdict counters.
+// it, with their store, ingest hook, in-flight appends, quarantine ring
+// and verdict counters. The store is the shard's corpus and its dedup
+// authority; the shard keeps no copy of either.
 type Shard struct {
-	store Store                    // optional durable store
+	store Store                    // the shard's corpus
 	hook  func(*trace.TraceBundle) // optional accepted-bundle hook
 
 	// Lock-free verdict counters (see ServerStats).
 	accepted, duplicated, quarantined atomic.Int64
 
 	mu         sync.Mutex
-	byApp      map[string][]*trace.TraceBundle
-	dupes      map[string]struct{}  // upload-key dedup across reconnects
 	inflight   map[string]*inflight // keys being persisted right now
 	quarantine []QuarantineEntry    // most recent maxQuarantineKept rejects
 	quarCount  int                  // total rejects, including rotated-out ones
@@ -151,42 +151,16 @@ type Shard struct {
 
 // inflight tracks one dedup key whose store append is in progress on
 // some handler goroutine. Concurrent uploads of the same key wait for
-// the leader's verdict instead of double-appending — the dedup check
-// alone cannot cover the window because the append happens outside the
-// state lock (it must: group commit wants many handlers inside
-// store.Append at once).
+// the leader's verdict instead of double-appending — store.Has alone
+// cannot cover the window because the append happens outside the state
+// lock (it must: group commit wants many handlers inside store.Append
+// at once).
 type inflight struct {
 	done chan struct{}
 }
 
 func newShard() *Shard {
-	return &Shard{
-		byApp:    make(map[string][]*trace.TraceBundle),
-		dupes:    make(map[string]struct{}),
-		inflight: make(map[string]*inflight),
-	}
-}
-
-// load restores the shard's corpus and dedup state from its store, if
-// it has one.
-func (sh *Shard) load() error {
-	if sh.store == nil {
-		return nil
-	}
-	persisted, skipped, err := sh.store.Load()
-	if err != nil {
-		return err
-	}
-	for appID, bundles := range persisted {
-		for _, b := range bundles {
-			sh.byApp[appID] = append(sh.byApp[appID], b)
-			sh.dupes[dedupKey(b)] = struct{}{}
-		}
-	}
-	// Torn trailing lines (crash mid-append) were never acked, so
-	// dropping them is safe; record them for diagnosis.
-	sh.quarCount += skipped
-	return nil
+	return &Shard{inflight: make(map[string]*inflight)}
 }
 
 // dedupKey identifies a bundle across re-uploads and restarts: the
@@ -212,7 +186,7 @@ func (sh *Shard) ingest(b *trace.TraceBundle) (stored *trace.TraceBundle, dup bo
 	dk := dedupKey(b)
 	sh.mu.Lock()
 	for {
-		if _, seen := sh.dupes[dk]; seen {
+		if sh.store.Has(dk) {
 			sh.mu.Unlock()
 			return nil, true, nil // idempotent: re-uploads after a lost ack are fine
 		}
@@ -234,17 +208,10 @@ func (sh *Shard) ingest(b *trace.TraceBundle) (stored *trace.TraceBundle, dup bo
 	// Persist before acknowledging: an acked bundle survives a crash; a
 	// failed write is reported so the phone retries. Off-lock, so
 	// concurrent handlers share the store's group commit.
-	var aerr error
-	if sh.store != nil {
-		aerr = sh.store.Append(b)
-	}
+	aerr := sh.store.Append(b)
 
 	sh.mu.Lock()
 	delete(sh.inflight, dk)
-	if aerr == nil {
-		sh.dupes[dk] = struct{}{}
-		sh.byApp[b.Event.AppID] = append(sh.byApp[b.Event.AppID], b)
-	}
 	close(fl.done)
 	sh.mu.Unlock()
 	if aerr != nil {
@@ -269,8 +236,8 @@ func (sh *Shard) record(stored *trace.TraceBundle, dup bool) {
 }
 
 // quarantineLine records a rejected wire line: bounded in memory,
-// complete in the durable store when one is attached. parent, when
-// non-nil, is the ingest span the rejection belongs under.
+// complete in a durable store. parent, when non-nil, is the ingest
+// span the rejection belongs under.
 func (sh *Shard) quarantineLine(line []byte, key string, cause error, parent *obs.Span) {
 	sh.quarantined.Add(1)
 	mSrvQuarantined.Inc()
@@ -289,11 +256,9 @@ func (sh *Shard) quarantineLine(line []byte, key string, cause error, parent *ob
 		sh.quarantine = sh.quarantine[len(sh.quarantine)-maxQuarantineKept:]
 	}
 	sh.mu.Unlock()
-	if sh.store != nil {
-		// Best-effort: quarantine persistence failing must not take the
-		// handler down with it.
-		_ = sh.store.AppendQuarantine(entry)
-	}
+	// Best-effort: quarantine persistence failing must not take the
+	// handler down with it.
+	_ = sh.store.AppendQuarantine(entry)
 }
 
 // Stats returns the shard's verdict counters. Bytes and connections are
@@ -323,34 +288,51 @@ func (sh *Shard) QuarantineCount() int {
 	return sh.quarCount
 }
 
-// Bundles returns the stored bundles for one app (a copy of the slice).
+// Scan streams the shard's stored bundles in append order.
+func (sh *Shard) Scan(fn func(*trace.TraceBundle) error) error {
+	return sh.store.Scan(fn)
+}
+
+// read scans the shard's store for Bundles, Count and Apps. They have
+// no error result, so a store that cannot be read panics rather than
+// pass for an empty one; code that can handle the error calls Scan.
+func (sh *Shard) read(fn func(*trace.TraceBundle)) {
+	err := sh.store.Scan(func(b *trace.TraceBundle) error {
+		fn(b)
+		return nil
+	})
+	if err != nil {
+		panic(err)
+	}
+}
+
+// Bundles returns the stored bundles for one app in append order.
 func (sh *Shard) Bundles(appID string) []*trace.TraceBundle {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	src := sh.byApp[appID]
-	out := make([]*trace.TraceBundle, len(src))
-	copy(out, src)
+	var out []*trace.TraceBundle
+	sh.read(func(b *trace.TraceBundle) {
+		if b.Event.AppID == appID {
+			out = append(out, b)
+		}
+	})
 	return out
 }
 
 // Count returns the number of bundles the shard stores.
 func (sh *Shard) Count() int {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	n := 0
-	for _, bs := range sh.byApp {
-		n += len(bs)
-	}
+	sh.read(func(*trace.TraceBundle) { n++ })
 	return n
 }
 
 // Apps returns the app IDs with stored traces on this shard.
 func (sh *Shard) Apps() []string {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	apps := make([]string, 0, len(sh.byApp))
-	for id := range sh.byApp {
-		apps = append(apps, id)
-	}
+	seen := make(map[string]bool)
+	var apps []string
+	sh.read(func(b *trace.TraceBundle) {
+		if !seen[b.Event.AppID] {
+			seen[b.Event.AppID] = true
+			apps = append(apps, b.Event.AppID)
+		}
+	})
 	return apps
 }

@@ -9,6 +9,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,8 +260,9 @@ func TestShardedExactlyOnceUnderFaults(t *testing.T) {
 	}
 }
 
-// TestShardedRestartResumesDedup: shards reload their own stores, so a
-// full re-upload to a restarted server is all duplicates.
+// TestShardedRestartResumesDedup: each shard deduplicates against its
+// own store, so a full re-upload to a restarted server is all
+// duplicates.
 func TestShardedRestartResumesDedup(t *testing.T) {
 	dir := t.TempDir()
 	var bundles []*trace.TraceBundle
@@ -397,4 +399,138 @@ func TestShardedQuarantineGauges(t *testing.T) {
 			t.Errorf("gauge %s = %v, want %d (the sum over shards)", name, got, want)
 		}
 	}
+}
+
+// gatedStore is an in-memory Store whose Append reports each call on
+// entered, then blocks until the test sends its verdict on release, so
+// a test holds a key's persist window open as long as it needs. Has
+// reports each call on has. Closing stop fails any Append still
+// blocked, so a broken server cannot hang the test's cleanup.
+type gatedStore struct {
+	*memStore
+	appends atomic.Int32
+	entered chan struct{}
+	release chan error
+	has     chan struct{}
+	stop    chan struct{}
+}
+
+func newGatedStore() *gatedStore {
+	return &gatedStore{
+		memStore: newMemStore(),
+		entered:  make(chan struct{}),
+		release:  make(chan error),
+		has:      make(chan struct{}, 16),
+		stop:     make(chan struct{}),
+	}
+}
+
+func (g *gatedStore) Has(key string) bool {
+	ok := g.memStore.Has(key)
+	g.has <- struct{}{}
+	return ok
+}
+
+func (g *gatedStore) Append(b *trace.TraceBundle) error {
+	g.appends.Add(1)
+	select {
+	case g.entered <- struct{}{}:
+	case <-g.stop:
+		return errors.New("test over")
+	}
+	select {
+	case err := <-g.release:
+		if err != nil {
+			return err
+		}
+	case <-g.stop:
+		return errors.New("test over")
+	}
+	return g.memStore.Append(b)
+}
+
+// TestInflightDedupWindow: two connections upload the same key while
+// the first one's Append is still running. The follower waits for the
+// leader's verdict: it is acked as a duplicate only after the leader's
+// Append returns, with exactly one Append made; if the leader's Append
+// fails, the follower takes over as leader and persists the bundle.
+func TestInflightDedupWindow(t *testing.T) {
+	line := wireLine(t, bundle("k9mail", "u1", "t1"))
+
+	// start opens the leader's persist window: the leader's Append is
+	// entered and the follower has asked Has and found nothing stored.
+	start := func(t *testing.T) (*Server, *gatedStore, *bufio.Reader, *bufio.Reader, net.Conn) {
+		g := newGatedStore()
+		s := startServer(t, WithStore(g))
+		t.Cleanup(func() { close(g.stop) }) // runs before the server's Close
+		leader, follower := dialRaw(t, s), dialRaw(t, s)
+		if _, err := leader.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		<-g.has
+		<-g.entered
+		if _, err := follower.Write(line); err != nil {
+			t.Fatal(err)
+		}
+		<-g.has
+		return s, g, bufio.NewReader(leader), bufio.NewReader(follower), follower
+	}
+	// noAckYet checks that the follower is still waiting.
+	noAckYet := func(t *testing.T, r *bufio.Reader, conn net.Conn) {
+		t.Helper()
+		conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+		if ack, err := r.ReadString('\n'); err == nil {
+			t.Fatalf("follower acked %q while the leader's Append was still running", ack)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	}
+	readAck := func(t *testing.T, r *bufio.Reader) string {
+		t.Helper()
+		ack, err := r.ReadString('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.TrimSpace(ack)
+	}
+
+	t.Run("leader succeeds", func(t *testing.T) {
+		s, g, leader, follower, fconn := start(t)
+		noAckYet(t, follower, fconn)
+		g.release <- nil
+		if ack := readAck(t, leader); !strings.HasPrefix(ack, ackOK) {
+			t.Fatalf("leader ack = %q", ack)
+		}
+		if ack := readAck(t, follower); !strings.HasPrefix(ack, ackOK) {
+			t.Fatalf("follower ack = %q", ack)
+		}
+		if n := g.appends.Load(); n != 1 {
+			t.Errorf("Append called %d times, want exactly 1", n)
+		}
+		if st := s.Stats(); st.Accepted != 1 || st.Duplicated != 1 {
+			t.Errorf("stats = %+v, want 1 accepted and 1 duplicated", st)
+		}
+	})
+
+	t.Run("leader fails", func(t *testing.T) {
+		s, g, leader, follower, fconn := start(t)
+		noAckYet(t, follower, fconn)
+		g.release <- errors.New("disk full")
+		if ack := readAck(t, leader); !strings.HasPrefix(ack, ackErr) {
+			t.Fatalf("leader ack = %q, want a rejection", ack)
+		}
+		<-g.entered // the follower is the new leader
+		g.release <- nil
+		if ack := readAck(t, follower); !strings.HasPrefix(ack, ackOK) {
+			t.Fatalf("follower ack = %q", ack)
+		}
+		if n := g.appends.Load(); n != 2 {
+			t.Errorf("Append called %d times, want 2 (failed leader, then follower)", n)
+		}
+		if st := s.Stats(); st.Accepted != 1 || st.Duplicated != 0 {
+			t.Errorf("stats = %+v, want the follower's bundle accepted", st)
+		}
+		if got := s.Count(); got != 1 {
+			t.Errorf("store holds %d bundles, want the follower's 1", got)
+		}
+	})
 }

@@ -1,10 +1,11 @@
 package collect
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
@@ -14,214 +15,157 @@ import (
 	"repro/internal/trace"
 )
 
-// Store is the durable persistence contract the server writes through:
-// every Append/AppendQuarantine must be durable (fsynced) before it
-// returns, because the server acknowledges the upload on return. Two
-// implementations exist: FileStore (one JSONL file per app, one fsync
-// per bundle) and SegStore (segmented binary log with group commit —
-// the fleet-scale default).
+// Store is a shard's corpus: the single owner of its accepted bundles
+// and the authority on which ones it already holds. The server
+// acknowledges an upload when Append returns, so a durable store must
+// have fsynced the bundle by then. SegStore is the durable store; a
+// shard given none keeps its corpus in memory for the life of the
+// process.
 type Store interface {
-	// Append durably persists one accepted bundle.
+	// Append persists one accepted bundle.
 	Append(b *trace.TraceBundle) error
-	// Load reads every persisted bundle back, keyed by app ID, plus the
-	// count of torn/undecodable records skipped.
-	Load() (map[string][]*trace.TraceBundle, int, error)
-	// AppendQuarantine durably records one rejected wire line.
+	// Has reports whether a bundle with this dedup key is stored.
+	Has(key string) bool
+	// Scan streams every stored bundle in append order, stopping at the
+	// first error, which it returns.
+	Scan(fn func(*trace.TraceBundle) error) error
+	// AppendQuarantine records one rejected wire line.
 	AppendQuarantine(entry QuarantineEntry) error
-	// LoadQuarantine reads back every quarantined line.
-	LoadQuarantine() ([]QuarantineEntry, error)
 	// Close releases the store's file handles.
 	Close() error
 }
 
-// FileStore persists accepted bundles as they arrive: one append-only
-// JSONL file per app under a directory. Each write is flushed before
-// the upload is acknowledged, so an acknowledged bundle survives a
-// server crash; on restart the server reloads the directory and resumes
-// deduplicating against it.
-type FileStore struct {
-	dir string
-
-	mu         sync.Mutex
-	files      map[string]*os.File
-	quarantine *os.File // lazily opened quarantine append handle
+// memStore is the Store of a shard started without one: bundles and
+// their dedup keys in memory, in append order. Rejected lines are kept
+// only in the shard's bounded quarantine ring.
+type memStore struct {
+	mu      sync.Mutex
+	bundles []*trace.TraceBundle
+	keys    map[string]struct{}
 }
 
-// NewFileStore opens (creating if needed) a store directory.
-func NewFileStore(dir string) (*FileStore, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("collect: store dir: %w", err)
-	}
-	return &FileStore{dir: dir, files: make(map[string]*os.File)}, nil
+func newMemStore() *memStore { return &memStore{keys: make(map[string]struct{})} }
+
+func (m *memStore) Append(b *trace.TraceBundle) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.keys[dedupKey(b)] = struct{}{}
+	m.bundles = append(m.bundles, b)
+	return nil
 }
 
-// Append durably appends one bundle to its app's file.
-func (s *FileStore) Append(b *trace.TraceBundle) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	f, err := s.file(b.Event.AppID)
-	if err != nil {
-		return err
-	}
-	if err := trace.EncodeBundle(f, b); err != nil {
-		return fmt.Errorf("collect: store append: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("collect: store sync: %w", err)
+func (m *memStore) Has(key string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.keys[key]
+	return ok
+}
+
+// Scan walks the bundles stored when it starts; appends only ever grow
+// the slice, so the snapshot is safe to read unlocked.
+func (m *memStore) Scan(fn func(*trace.TraceBundle) error) error {
+	m.mu.Lock()
+	snapshot := m.bundles
+	m.mu.Unlock()
+	for _, b := range snapshot {
+		if err := fn(b); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-// file returns (opening if needed) the append handle for one app.
-// Callers hold s.mu.
-func (s *FileStore) file(appID string) (*os.File, error) {
-	if f, ok := s.files[appID]; ok {
-		return f, nil
-	}
-	path := filepath.Join(s.dir, sanitizeAppID(appID)+".jsonl")
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("collect: store open: %w", err)
-	}
-	s.files[appID] = f
-	return f, nil
-}
+func (m *memStore) AppendQuarantine(QuarantineEntry) error { return nil }
 
-// Load reads every persisted bundle back, keyed by app ID. Undecodable
-// lines — e.g. a torn trailing line left by a crash mid-append — are
-// skipped and counted rather than failing the whole store: a torn line
-// was never acknowledged, so dropping it only makes the phone re-upload
-// that bundle. The quarantine subdirectory is not part of the corpus
-// and is never loaded here.
-func (s *FileStore) Load() (map[string][]*trace.TraceBundle, int, error) {
-	entries, err := os.ReadDir(s.dir)
+func (m *memStore) Close() error { return nil }
+
+// The JSONL store layout that ImportJSONL migrates: one <app>.jsonl
+// file per app, and the rejected lines in quarantine/rejected.jsonl.
+const (
+	quarantineDir  = "quarantine"
+	quarantineFile = "rejected.jsonl"
+)
+
+// ImportJSONL migrates a directory in the JSONL store layout into
+// store, renaming each file it has fully imported to <name>.imported,
+// so a directory holding no such files is left as it is. A bundle
+// already in store (by dedup key) is not appended again, which makes
+// re-running an import that a crash interrupted safe. Torn or
+// undecodable lines — a crash in the middle of an append left them,
+// and they were never acknowledged — are dropped and counted in torn.
+// A crash inside the quarantine file may repeat on the re-run the
+// rejected lines already copied; they are diagnostics, never corpus.
+func ImportJSONL(store Store, dir string) (imported, torn int, err error) {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("collect: store load: %w", err)
+		return 0, 0, fmt.Errorf("collect: import: %w", err)
 	}
-	out := make(map[string][]*trace.TraceBundle)
-	skipped := 0
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), ".jsonl") {
 			continue
 		}
-		f, err := os.Open(filepath.Join(s.dir, e.Name()))
+		err := importFile(filepath.Join(dir, e.Name()), func(r io.Reader) error {
+			return trace.ScanBundlesLenient(r,
+				func(b *trace.TraceBundle) error {
+					if store.Has(dedupKey(b)) {
+						return nil
+					}
+					if err := store.Append(b); err != nil {
+						return err
+					}
+					imported++
+					return nil
+				},
+				func(trace.BadBundleLine) error {
+					torn++
+					return nil
+				})
+		})
 		if err != nil {
-			return nil, skipped, fmt.Errorf("collect: store load: %w", err)
-		}
-		err = trace.ScanBundlesLenient(f,
-			func(b *trace.TraceBundle) error {
-				out[b.Event.AppID] = append(out[b.Event.AppID], b)
-				return nil
-			},
-			func(bad trace.BadBundleLine) error {
-				skipped++
-				return nil
-			})
-		f.Close()
-		if err != nil {
-			return nil, skipped, fmt.Errorf("collect: store load %s: %w", e.Name(), err)
+			return imported, torn, err
 		}
 	}
-	return out, skipped, nil
+	qpath := filepath.Join(dir, quarantineDir, quarantineFile)
+	if _, err := os.Stat(qpath); errors.Is(err, os.ErrNotExist) {
+		return imported, torn, nil
+	}
+	err = importFile(qpath, func(r io.Reader) error {
+		br := bufio.NewReader(r)
+		for {
+			line, rerr := br.ReadBytes('\n')
+			if len(bytes.TrimSpace(line)) > 0 {
+				var e QuarantineEntry
+				if json.Unmarshal(line, &e) != nil {
+					torn++
+				} else if err := store.AppendQuarantine(e); err != nil {
+					return err
+				}
+			}
+			if rerr == io.EOF {
+				return nil
+			}
+			if rerr != nil {
+				return rerr
+			}
+		}
+	})
+	return imported, torn, err
 }
 
-// quarantineDir is the store subdirectory holding rejected lines. It is
-// excluded from Load, so quarantined data can never re-enter analysis.
-const quarantineDir = "quarantine"
-
-// quarantineFile is the JSONL file of QuarantineEntry records.
-const quarantineFile = "rejected.jsonl"
-
-// AppendQuarantine durably appends one rejected line to the quarantine
-// file for later diagnosis.
-func (s *FileStore) AppendQuarantine(entry QuarantineEntry) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.quarantine == nil {
-		dir := filepath.Join(s.dir, quarantineDir)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("collect: quarantine dir: %w", err)
-		}
-		f, err := os.OpenFile(filepath.Join(dir, quarantineFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("collect: quarantine open: %w", err)
-		}
-		s.quarantine = f
+// importFile feeds one file to read and, once read succeeds, renames
+// it out of the import's way.
+func importFile(path string, read func(io.Reader) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return fmt.Errorf("collect: import: %w", err)
 	}
-	if err := json.NewEncoder(s.quarantine).Encode(entry); err != nil {
-		return fmt.Errorf("collect: quarantine append: %w", err)
+	err = read(f)
+	f.Close()
+	if err != nil {
+		return fmt.Errorf("collect: import %s: %w", path, err)
 	}
-	if err := s.quarantine.Sync(); err != nil {
-		return fmt.Errorf("collect: quarantine sync: %w", err)
+	if err := os.Rename(path, path+".imported"); err != nil {
+		return fmt.Errorf("collect: import: %w", err)
 	}
 	return nil
-}
-
-// LoadQuarantine reads back every quarantined line, for diagnosis
-// tooling. A store with no quarantine returns an empty slice.
-func (s *FileStore) LoadQuarantine() ([]QuarantineEntry, error) {
-	f, err := os.Open(filepath.Join(s.dir, quarantineDir, quarantineFile))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("collect: quarantine load: %w", err)
-	}
-	defer f.Close()
-	var out []QuarantineEntry
-	dec := json.NewDecoder(f)
-	for {
-		var e QuarantineEntry
-		if err := dec.Decode(&e); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
-			return out, fmt.Errorf("collect: quarantine load: %w", err)
-		}
-		out = append(out, e)
-	}
-}
-
-// Close releases the append handles.
-func (s *FileStore) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var firstErr error
-	for id, f := range s.files {
-		if err := f.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("collect: store close %s: %w", id, err)
-		}
-		delete(s.files, id)
-	}
-	if s.quarantine != nil {
-		if err := s.quarantine.Close(); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("collect: store close quarantine: %w", err)
-		}
-		s.quarantine = nil
-	}
-	return firstErr
-}
-
-// sanitizeAppID keeps store file names path-safe. When sanitization has
-// to change anything, a hash of the original ID is appended so two
-// distinct app IDs can never collide onto one file (e.g. "a/b" and
-// "a_b" both used to map to "a_b.jsonl", silently merging two apps'
-// corpora). IDs that are already clean keep their exact historical
-// name, so existing stores load unchanged.
-func sanitizeAppID(appID string) string {
-	mapped := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
-		}
-	}, appID)
-	if mapped == appID {
-		return mapped
-	}
-	h := fnv.New64a()
-	h.Write([]byte(appID))
-	return fmt.Sprintf("%s-%016x", mapped, h.Sum64())
 }

@@ -1,16 +1,21 @@
 package collect
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
+	"repro/internal/collect/seglog"
 	"repro/internal/trace"
+	"repro/internal/trace/binenc"
 )
 
-func TestFileStoreAppendAndLoad(t *testing.T) {
+func TestSegStoreAppendAndLoad(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +31,7 @@ func TestFileStoreAppendAndLoad(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := NewFileStore(dir)
+	reopened, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,36 +48,97 @@ func TestFileStoreAppendAndLoad(t *testing.T) {
 	}
 }
 
-func TestFileStoreSanitizesNames(t *testing.T) {
-	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+// corruptRecordBody rewrites the first body byte of the single record
+// in dir's only segment and recomputes the frame CRC, so the record
+// replays cleanly but its body no longer decodes.
+func corruptRecordBody(t *testing.T, dir string, to byte) {
+	t.Helper()
+	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.log"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments = %v (%v), want one", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Frame: u32le length, u32le CRC-32C, payload. Payload: u8 type,
+	// uvarint key length (keys here are < 128 bytes), key, body.
+	payload := data[binenc.FrameOverhead:]
+	if int(binary.LittleEndian.Uint32(data[0:4])) != len(payload) {
+		t.Fatalf("segment holds more than one record")
+	}
+	payload[2+int(payload[1])] = to
+	binary.LittleEndian.PutUint32(data[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSegStoreSurfacesUndecodableRecords: a record whose CRC checks out
+// but whose body does not decode fails Load, Scan and LoadQuarantine
+// with an error naming the segment and the key; it is never skipped as
+// if it were not there.
+func TestSegStoreSurfacesUndecodableRecords(t *testing.T) {
+	open := func(dir string) *SegStore {
+		t.Helper()
+		store, err := NewSegStore(dir, seglog.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return store
+	}
+
+	bundleDir := t.TempDir()
+	store := open(bundleDir)
+	b := bundle("k9mail", "u1", "t1")
+	b.Key = trace.ContentKey(b)
+	if err := store.Append(b); err != nil {
+		t.Fatal(err)
+	}
+	store.Close()
+	corruptRecordBody(t, bundleDir, 0xff) // an unknown binenc version
+	store = open(bundleDir)
 	defer store.Close()
-	evil := bundle("../../etc/passwd", "u", "t")
-	if err := store.Append(evil); err != nil {
+	loaded, skipped, err := store.Load()
+	if err == nil {
+		t.Fatalf("Load of an undecodable bundle succeeded: %d apps, %d skipped", len(loaded), skipped)
+	}
+	for _, want := range []string{"seg-", b.Key, "decode bundle"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Load error %q does not name %q", err, want)
+		}
+	}
+	if err := store.Scan(func(*trace.TraceBundle) error { return nil }); err == nil {
+		t.Error("Scan of an undecodable bundle succeeded")
+	}
+
+	quarDir := t.TempDir()
+	store = open(quarDir)
+	if err := store.AppendQuarantine(QuarantineEntry{Reason: "r", Line: []byte("x")}); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	store.Close()
+	corruptRecordBody(t, quarDir, 'X') // no longer a JSON object
+	store = open(quarDir)
+	defer store.Close()
+	entries, err := store.LoadQuarantine()
+	if err == nil {
+		t.Fatalf("LoadQuarantine of an undecodable entry succeeded: %+v", entries)
 	}
-	if len(entries) != 1 {
-		t.Fatalf("entries = %d", len(entries))
-	}
-	if filepath.Dir(filepath.Join(dir, entries[0].Name())) != dir {
-		t.Errorf("store escaped its directory: %q", entries[0].Name())
+	for _, want := range []string{"seg-", "q!", "decode quarantine entry"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("LoadQuarantine error %q does not name %q", err, want)
+		}
 	}
 }
 
 func TestServerSurvivesRestartWithStore(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewFileStore(dir)
+	store, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewServer("127.0.0.1:0", WithFileStore(store))
+	srv, err := NewServer("127.0.0.1:0", WithStore(store))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +158,12 @@ func TestServerSurvivesRestartWithStore(t *testing.T) {
 
 	// "Restart": a fresh server over the same directory sees the old
 	// bundles and deduplicates re-uploads against them.
-	store2, err := NewFileStore(dir)
+	store2, err := NewSegStore(dir, seglog.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	srv2, err := NewServer("127.0.0.1:0", WithFileStore(store2))
+	srv2, err := NewServer("127.0.0.1:0", WithStore(store2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -102,6 +103,10 @@ type FleetResult struct {
 	Fsyncs, Appends int64
 	// AnalyzedApps is how many apps had a report after the final drain.
 	AnalyzedApps int
+	// HeapPerBundle is the live heap the run added, measured after a GC
+	// once the final drain is done, over accepted bundles: what the
+	// server and its analyzers keep resident per bundle.
+	HeapPerBundle float64
 }
 
 // ExperimentID implements Result.
@@ -123,6 +128,7 @@ func (r *FleetResult) Render() string {
 	fmt.Fprintf(&sb, "  report staleness:   p50 %v, p99 %v (%d apps analyzed)\n",
 		r.StalenessP50.Round(time.Millisecond), r.StalenessP99.Round(time.Millisecond),
 		r.AnalyzedApps)
+	fmt.Fprintf(&sb, "  resident heap:      %.0f B/bundle after the final drain\n", r.HeapPerBundle)
 	return sb.String()
 }
 
@@ -205,6 +211,7 @@ func RunFleet(seed int64) (Result, error) {
 		return nil, err
 	}
 	defer os.RemoveAll(dir)
+	heapBase := liveHeap()
 
 	// One serving layer and one segmented store per shard, exactly the
 	// sharded collectd topology.
@@ -374,5 +381,14 @@ func RunFleet(seed int64) (Result, error) {
 	stalenessMu.Unlock()
 
 	res.AnalyzedApps = len(fan.Statuses())
+	res.HeapPerBundle = float64(liveHeap()-heapBase) / float64(res.Accepted)
 	return res, nil
+}
+
+// liveHeap returns the heap bytes still reachable after a full GC.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
 }

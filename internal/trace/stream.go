@@ -68,10 +68,9 @@ type BadBundleLine struct {
 // ScanBundlesLenient streams bundles from r to fn like ScanBundles, but
 // survives undecodable lines: each one is reported to onBad (when
 // non-nil) and skipped. A crash can leave a torn trailing line in an
-// append-only corpus file, and a reloading server must keep every
-// bundle it already acknowledged rather than fail the whole file, so
-// this is the loader the durable store uses. fn or onBad returning an
-// error stops the scan.
+// append-only corpus file, and a reader must keep every bundle before
+// it rather than fail the whole file, so this is the loader the JSONL
+// store import uses. fn or onBad returning an error stops the scan.
 func ScanBundlesLenient(r io.Reader, fn func(*TraceBundle) error, onBad func(BadBundleLine) error) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), maxBundleBytes)
