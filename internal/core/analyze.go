@@ -118,6 +118,17 @@ type StageTiming struct {
 	Items int
 }
 
+// TotalWall returns the wall time of the whole analysis (the Step-0
+// stage), or 0 when the report carries no stage timings.
+func (r *Report) TotalWall() time.Duration {
+	for _, st := range r.Stages {
+		if st.Step == 0 {
+			return st.Wall
+		}
+	}
+	return 0
+}
+
 // TopEvents returns the first n reported events (all if n <= 0 or beyond
 // the list).
 func (r *Report) TopEvents(n int) []Impact {

@@ -327,6 +327,38 @@ func (ia *IncrementalAnalyzer) CacheStats() CacheStats {
 func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	ia.mu.Lock()
 	defer ia.mu.Unlock()
+	report, _, err := ia.reportLocked(false)
+	return report, err
+}
+
+// ReportJSON is Report plus the report's JSON encoding: the bytes are
+// identical to json.Marshal of the returned report (and an encoding
+// failure is json.Marshal's error). Each corpus entry caches its
+// trace's encoded Step-1 fields, filled here under the analyzer lock
+// for entries that lack them; the report is then encoded after the
+// lock is released, reusing those bytes and encoding only the
+// Steps-2–5 fields afresh, in parallel over Config.Parallelism
+// workers. Report never fills the cache, so callers that do not serve
+// JSON pay nothing for it.
+func (ia *IncrementalAnalyzer) ReportJSON() (*Report, []byte, error) {
+	ia.mu.Lock()
+	report, prefixes, err := ia.reportLocked(true)
+	ia.mu.Unlock()
+	if err != nil {
+		return nil, nil, err
+	}
+	data, err := encodeReport(report, prefixes, ia.a.cfg.Parallelism)
+	if err != nil {
+		return nil, nil, err
+	}
+	return report, data, nil
+}
+
+// reportLocked is Report's body. With withJSON it also fills the
+// Step-1 JSON cache of every entry that lacks it and returns the cached
+// prefixes parallel to the report's traces (nil on the full-replay
+// fallback, whose traces the encoder encodes whole). Callers hold ia.mu.
+func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, [][]byte, error) {
 	start := time.Now()
 	tr := ia.a.cfg.Tracer
 	if tr == nil {
@@ -338,13 +370,14 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	if len(ia.bundles) == 0 {
 		s1.End()
 		root.End()
-		return nil, ErrNoTraces
+		return nil, nil, ErrNoTraces
 	}
 	if ia.cs.tainted > 0 {
 		// Non-finite powers cannot live in the summaries; replay the
 		// full batch finish so degenerate corpora keep the batch
 		// pipeline's exact error behavior.
-		return ia.reportFullLocked(start, root, s1)
+		report, err := ia.reportFullLocked(start, root, s1)
+		return report, nil, err
 	}
 	rec1 := s1.End()
 
@@ -361,7 +394,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 		e := ia.cs.entries[key]
 		if e.err != nil {
 			if !ia.a.cfg.SkipInvalidTraces {
-				return nil, fmt.Errorf("trace %d (%s): %w", idx, e.traceID, e.err)
+				return nil, nil, fmt.Errorf("trace %d (%s): %w", idx, e.traceID, e.err)
 			}
 			skipped = append(skipped, SkippedTrace{Index: idx, TraceID: e.traceID, Reason: e.err.Error()})
 			idx++
@@ -371,7 +404,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 		idx++
 	}
 	if len(entries) == 0 {
-		return nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
+		return nil, nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
 	}
 
 	// Step 2: re-rank only traces whose key multisets changed.
@@ -403,7 +436,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	s4 := root.Child("step4.detect")
 	for _, e := range detectDirty {
 		if err := ia.refreshDetect(e); err != nil {
-			return nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
+			return nil, nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
 		}
 	}
 	rec4 := s4.End()
@@ -425,6 +458,10 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	traces := make([]*AnalyzedTrace, len(entries))
 	for i, e := range entries {
 		traces[i] = e.at.cloneAnalyzed()
+	}
+	var prefixes [][]byte
+	if withJSON {
+		prefixes = ia.stepOnePrefixes(entries)
 	}
 	report.Traces = traces
 
@@ -450,7 +487,7 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 	mTracesSkipped.Add(int64(len(skipped)))
 	gSkippedLast.Set(float64(len(skipped)))
 	ia.finishReportMetrics(start, len(ia.bundles))
-	return report, nil
+	return report, prefixes, nil
 }
 
 // finishReportMetrics updates the incremental gauges from the Step-1

@@ -5,12 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/core"
+	"repro/internal/device"
 	"repro/internal/power"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -46,6 +48,25 @@ func reportJSON(t *testing.T, r *core.Report) []byte {
 	return data
 }
 
+// infiniteDevice names a device profile with infinite base power: any
+// trace recorded on it gets non-finite Step-1 powers.
+const infiniteDevice = "infinite-base"
+
+// infiniteDeviceRegistry returns the built-in device registry plus
+// infiniteDevice.
+func infiniteDeviceRegistry(t *testing.T) *device.Registry {
+	t.Helper()
+	reg := device.NewRegistry()
+	p, err := reg.Lookup("nexus6")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Name = infiniteDevice
+	p.BaseMW = math.Inf(1)
+	reg.Register(p)
+	return reg
+}
+
 // mirror is the oracle corpus: the exact ordered bundle slice the
 // incremental analyzer should be equivalent to batch-analyzing.
 type mirror struct {
@@ -72,27 +93,45 @@ func (m *mirror) remove(key string) {
 // incremental engine: a seeded random sequence of corpus mutations
 // (add, remove, re-add, duplicate add) with, after every mutation, a
 // byte-identical comparison between IncrementalAnalyzer.Report and a
-// fresh batch Analyzer.Analyze over the mirrored bundle slice. Variants
-// cover estimation noise (Step-1 purity under the per-bundle seeded
-// RNG) and a cache far smaller than the corpus (eviction must cost
-// time, never correctness).
+// fresh batch Analyzer.Analyze over the mirrored bundle slice. The
+// serving encode path rides along: two more analyzers take the same
+// mutations and answer ReportJSON at Parallelism 1 and 4, whose bytes
+// must equal both json.Marshal of the report they return and the batch
+// report's bytes. Variants cover estimation noise (Step-1 purity under
+// the per-bundle seeded RNG), a cache far smaller than the corpus
+// (eviction must cost time, never correctness), and a pool holding
+// traces with non-finite Step-1 powers, which the summaries cannot
+// represent: while one is in the corpus every engine must fail with the
+// batch pipeline's error, and once it leaves the sublinear path resumes.
 func TestIncrementalMatchesBatch(t *testing.T) {
 	variants := []struct {
 		name      string
 		noise     float64
 		cacheCap  int
 		mutations int
+		nonFinite []int // pool indices moved onto a device with infinite base power
 	}{
-		{"no-noise", 0, 0, 120},
-		{"paper-noise", power.PaperNoiseFrac, 0, 120},
-		{"tiny-cache", 0, 3, 80},
+		{"no-noise", 0, 0, 120, nil},
+		{"paper-noise", power.PaperNoiseFrac, 0, 120, nil},
+		{"tiny-cache", 0, 3, 80, nil},
+		{"non-finite", 0, 0, 120, []int{3, 9}},
 	}
-	pool := bundlePool(t, 14, 41)
+	basePool := bundlePool(t, 14, 41)
 	for _, v := range variants {
 		t.Run(v.name, func(t *testing.T) {
 			cfg := core.DefaultConfig()
 			cfg.EstimationNoiseFrac = v.noise
 			cfg.NoiseSeed = 7
+			pool := append([]*trace.TraceBundle(nil), basePool...)
+			if len(v.nonFinite) > 0 {
+				cfg.Devices = infiniteDeviceRegistry(t)
+				for _, i := range v.nonFinite {
+					b := *pool[i]
+					b.Key = ""
+					b.Event.Device = infiniteDevice
+					pool[i] = &b
+				}
+			}
 			batch, err := core.NewAnalyzer(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -101,6 +140,34 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Analyzers answering ReportJSON, by Parallelism.
+			encoders := map[int]*core.IncrementalAnalyzer{}
+			for _, p := range []int{1, 4} {
+				ecfg := cfg
+				ecfg.Parallelism = p
+				if encoders[p], err = core.NewIncrementalAnalyzer(ecfg, v.cacheCap); err != nil {
+					t.Fatal(err)
+				}
+			}
+			add := func(b *trace.TraceBundle) (string, bool) {
+				key, added := inc.Add(b)
+				for p, e := range encoders {
+					if k, a := e.Add(b); k != key || a != added {
+						t.Fatalf("parallelism-%d analyzer: Add = (%s, %v), want (%s, %v)", p, k, a, key, added)
+					}
+				}
+				return key, added
+			}
+			remove := func(key string) bool {
+				removed := inc.Remove(key)
+				for p, e := range encoders {
+					if r := e.Remove(key); r != removed {
+						t.Fatalf("parallelism-%d analyzer: Remove = %v, want %v", p, r, removed)
+					}
+				}
+				return removed
+			}
+			var failed, served int // non-empty corpora that failed / were served
 
 			rng := rand.New(rand.NewSource(1000 + int64(len(v.name))))
 			var m mirror
@@ -114,19 +181,50 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					if !errors.Is(gotErr, core.ErrNoTraces) {
 						t.Fatalf("step %d: empty corpus: got %v, want ErrNoTraces", step, gotErr)
 					}
+					for p, e := range encoders {
+						if _, _, err := e.ReportJSON(); !errors.Is(err, core.ErrNoTraces) {
+							t.Fatalf("step %d: empty corpus: ReportJSON at parallelism %d: got %v, want ErrNoTraces", step, p, err)
+						}
+					}
+					return
+				}
+				want, wantErr := batch.Analyze(m.bundles)
+				if wantErr != nil {
+					if len(v.nonFinite) == 0 {
+						t.Fatalf("step %d: batch analyze: %v", step, wantErr)
+					}
+					failed++
+					if gotErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Fatalf("step %d: incremental error %v, want batch error %v", step, gotErr, wantErr)
+					}
+					for p, e := range encoders {
+						if _, _, err := e.ReportJSON(); err == nil || err.Error() != wantErr.Error() {
+							t.Fatalf("step %d: ReportJSON at parallelism %d: error %v, want batch error %v", step, p, err, wantErr)
+						}
+					}
 					return
 				}
 				if gotErr != nil {
 					t.Fatalf("step %d: incremental report: %v", step, gotErr)
 				}
-				want, wantErr := batch.Analyze(m.bundles)
-				if wantErr != nil {
-					t.Fatalf("step %d: batch analyze: %v", step, wantErr)
-				}
+				served++
 				gj, wj := reportJSON(t, got), reportJSON(t, want)
 				if !bytes.Equal(gj, wj) {
 					t.Fatalf("step %d: incremental report diverged from batch over %d bundles:\nincremental: %.200s\nbatch:       %.200s",
 						step, len(m.bundles), gj, wj)
+				}
+				for p, e := range encoders {
+					r, data, err := e.ReportJSON()
+					if err != nil {
+						t.Fatalf("step %d: ReportJSON at parallelism %d: %v", step, p, err)
+					}
+					if rj := reportJSON(t, r); !bytes.Equal(data, rj) {
+						t.Fatalf("step %d: ReportJSON at parallelism %d: bytes differ from json.Marshal of its report:\nReportJSON:   %.200s\njson.Marshal: %.200s",
+							step, p, data, rj)
+					}
+					if !bytes.Equal(data, wj) {
+						t.Fatalf("step %d: ReportJSON at parallelism %d diverged from batch", step, p)
+					}
 				}
 			}
 
@@ -136,7 +234,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				case op == 0 && next < len(pool): // add an unseen bundle
 					b := pool[next]
 					next++
-					key, added := inc.Add(b)
+					key, added := add(b)
 					if !added {
 						t.Fatalf("step %d: fresh bundle %s reported as duplicate", step, key)
 					}
@@ -150,7 +248,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 							break
 						}
 					}
-					if !inc.Remove(key) {
+					if !remove(key) {
 						t.Fatalf("step %d: remove of present key %s returned false", step, key)
 					}
 					m.remove(key)
@@ -162,7 +260,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					}
 					b := removed[key]
 					delete(removed, key)
-					k2, added := inc.Add(b)
+					k2, added := add(b)
 					if k2 != key {
 						t.Fatalf("step %d: re-add changed content key: %s -> %s", step, key, k2)
 					}
@@ -173,7 +271,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				case op == 3 && len(m.keys) > 0: // duplicate add: must be a no-op
 					i := rng.Intn(len(m.bundles))
 					before := inc.Len()
-					if _, added := inc.Add(m.bundles[i]); added {
+					if _, added := add(m.bundles[i]); added {
 						t.Fatalf("step %d: duplicate add of %s was not deduplicated", step, m.keys[i])
 					}
 					if inc.Len() != before {
@@ -183,7 +281,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 					if next < len(pool) {
 						b := pool[next]
 						next++
-						key, _ := inc.Add(b)
+						key, _ := add(b)
 						m.add(key, b)
 					}
 				}
@@ -201,6 +299,9 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			}
 			if v.cacheCap == 3 && st.Evictions == 0 {
 				t.Fatal("tiny cache variant never evicted; eviction-then-recompute path untested")
+			}
+			if len(v.nonFinite) > 0 && (failed == 0 || served == 0) {
+				t.Fatalf("non-finite variant failed %d and served %d corpora; want both paths exercised", failed, served)
 			}
 		})
 	}
@@ -329,9 +430,11 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 	}
 }
 
-// TestIncrementalConcurrentUse exercises Add/Remove/Report/CacheStats
-// racing from many goroutines; correctness here is "no race, no panic,
-// reports internally consistent", pinned under -race in CI.
+// TestIncrementalConcurrentUse exercises Add/Remove/Report/ReportJSON/
+// CacheStats racing from many goroutines; correctness here is "no race,
+// no panic, reports internally consistent", pinned under -race in CI.
+// ReportJSON encodes outside the analyzer lock, from Step-1 bytes that
+// a concurrent ReportJSON may be caching for other traces.
 func TestIncrementalConcurrentUse(t *testing.T) {
 	pool := bundlePool(t, 10, 53)
 	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 4)
@@ -349,7 +452,7 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			for i := 0; i < 15; i++ {
-				switch rng.Intn(3) {
+				switch rng.Intn(4) {
 				case 0:
 					k := keys[rng.Intn(len(keys))]
 					inc.Remove(k)
@@ -358,6 +461,12 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 					if r, err := inc.Report(); err == nil {
 						if r.TotalTraces != len(r.Traces) {
 							t.Errorf("inconsistent report: TotalTraces %d, traces %d", r.TotalTraces, len(r.Traces))
+						}
+					}
+				case 2:
+					if r, data, err := inc.ReportJSON(); err == nil {
+						if rj, err := json.Marshal(r); err != nil || !bytes.Equal(data, rj) {
+							t.Errorf("ReportJSON bytes differ from json.Marshal of its report (marshal error %v)", err)
 						}
 					}
 				default:

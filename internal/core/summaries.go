@@ -70,6 +70,12 @@ type traceEntry struct {
 	// nonFinite marks a trace whose Step-1 powers contain NaN/Inf; it
 	// taints the corpus onto the full-finish fallback path.
 	nonFinite bool
+	// stepOneJSON caches the JSON encoding of at's Step-1 fields, from
+	// the object's opening brace through the closing bracket of
+	// "events" (see reportjson.go). Only ReportJSON fills it; the
+	// fields it encodes never change after Step 1, and the bytes are
+	// read-only once set, so reports encode from them outside ia.mu.
+	stepOneJSON []byte
 }
 
 // corpusState is the applied incremental corpus: per-key summaries and

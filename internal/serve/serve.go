@@ -414,9 +414,16 @@ func etagFor(data []byte) string {
 // long-polls, and publishes one stream event per installed snapshot. It
 // is the debounce timer's target and may also be called directly
 // (tests, the /analysis/flush endpoint, startup warm-up).
+//
+// Analysis, encoding and hashing all run without the service lock, so
+// Notify, report reads and /analysis/apps wait only for the install.
+// A snapshot's WallMillis is the analysis alone (the report's Step-0
+// total) and its AnalyzedAt is the flush start plus that wall, so
+// encoding, hashing, install and delivery read as publish time.
 func (s *Service) Flush() {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
+	flushStart := time.Now()
 
 	s.mu.Lock()
 	if s.timer != nil {
@@ -438,16 +445,24 @@ func (s *Service) Flush() {
 	s.mu.Unlock()
 	sort.Slice(jobs, func(i, j int) bool { return jobs[i].app < jobs[j].app })
 
+	installed := 0
 	for _, j := range jobs {
 		start := time.Now()
-		report, err := j.st.inc.Report() // analyzer-internal locking; s.mu not held
+		report, data, err := j.st.inc.ReportJSON() // analyzer-internal locking; s.mu not held
 		wall := time.Since(start)
+		var etag string
+		var summary core.ReportSummary
+		if err == nil {
+			wall = report.TotalWall()
+			etag = etagFor(data)
+			summary = report.Summarize(s.cfg.TopKeys)
+		}
 		mAnalyses.Inc()
 		hAnalysis.Observe(wall.Seconds())
 		cs := j.st.inc.CacheStats()
 		s.mu.Lock()
 		j.st.analyses++
-		j.st.analyzedAt = time.Now()
+		j.st.analyzedAt = start.Add(wall)
 		j.st.lastWall = wall
 		if err != nil {
 			j.st.lastErr = err.Error()
@@ -456,36 +471,35 @@ func (s *Service) Flush() {
 			s.cfg.Logger.Error("re-analysis failed", "app", j.app, "err", err)
 			continue
 		}
-		data, merr := json.Marshal(report)
-		if merr != nil {
-			j.st.lastErr = merr.Error()
-			s.mu.Unlock()
-			mErrors.Inc()
-			s.cfg.Logger.Error("report serialization failed", "app", j.app, "err", merr)
-			continue
-		}
 		j.st.lastErr = ""
-		snap := s.installLocked(j.st, report, data, wall)
+		snap := s.installLocked(j.st, report, data, etag, summary, wall)
 		s.mu.Unlock()
+		installed++
 		s.hub.publish(Event{App: j.app, Snapshot: snap})
-		s.cfg.Logger.Info("re-analyzed corpus",
+		s.cfg.Logger.Debug("re-analyzed corpus",
 			"app", j.app, "version", snap.Version, "traces", report.TotalTraces,
 			"skipped", len(report.Skipped), "impacted_traces", report.ImpactedTraces,
-			"wall", wall.Round(time.Microsecond),
+			"wall", wall.Round(time.Microsecond), "bytes", len(data),
 			"step1_cache_hit_rate", fmt.Sprintf("%.3f", cs.HitRate()))
+	}
+	if len(jobs) > 0 {
+		s.cfg.Logger.Info("flushed dirty apps",
+			"apps", len(jobs), "versions", installed, "failed", len(jobs)-installed,
+			"wall", time.Since(flushStart).Round(time.Microsecond))
 	}
 	s.invalidateMetricsSnap()
 }
 
-// installLocked stores a freshly analyzed report as the app's current
-// snapshot: version bump, ETag, history ring append, long-poll wake.
-// Callers hold s.mu.
-func (s *Service) installLocked(st *appState, report *core.Report, data []byte, wall time.Duration) Snapshot {
+// installLocked stores a freshly analyzed report, with its encoding,
+// ETag and summary computed outside the lock, as the app's current
+// snapshot: version bump, history ring append, long-poll wake. Callers
+// hold s.mu.
+func (s *Service) installLocked(st *appState, report *core.Report, data []byte, etag string, summary core.ReportSummary, wall time.Duration) Snapshot {
 	st.report = report
 	st.reportJSON = data
 	st.version++
-	st.etag = etagFor(data)
-	st.summary = report.Summarize(s.cfg.TopKeys)
+	st.etag = etag
+	st.summary = summary
 	snap := Snapshot{
 		Version:    st.version,
 		ETag:       st.etag,
@@ -787,6 +801,7 @@ func (s *Service) serveReport(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
+	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
 	_, _ = w.Write(data)
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -75,6 +76,39 @@ func TestServedReportMatchesBatch(t *testing.T) {
 	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/analysis/report?app=k9mail&format=text", nil))
 	if rr.Code != 200 || !strings.Contains(rr.Body.String(), "EnergyDx diagnosis report for k9mail") {
 		t.Fatalf("text report wrong: status %d body %.120s", rr.Code, rr.Body.String())
+	}
+}
+
+// TestReportContentLengthAndWall: a 200 JSON report carries a
+// Content-Length equal to its body, so a client can presize its buffer,
+// and the snapshot's WallMillis is the analysis alone (the report's
+// Step-0 total), not the encoding that follows it.
+func TestReportContentLengthAndWall(t *testing.T) {
+	svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for _, b := range testCorpus(t, 6, 19) {
+		svc.Notify(b)
+	}
+	svc.Flush()
+
+	rr := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rr, httptest.NewRequest("GET", "/analysis/report?app=k9mail", nil))
+	if rr.Code != 200 {
+		t.Fatalf("report status %d: %s", rr.Code, rr.Body.String())
+	}
+	if got, want := rr.Header().Get("Content-Length"), strconv.Itoa(rr.Body.Len()); got != want {
+		t.Fatalf("Content-Length %q, body is %s bytes", got, want)
+	}
+
+	report, snap, ok := svc.AppReport("k9mail")
+	if !ok || report == nil {
+		t.Fatal("no installed report")
+	}
+	if want := float64(report.TotalWall()) / float64(time.Millisecond); snap.WallMillis != want || want <= 0 {
+		t.Fatalf("snapshot WallMillis %v, want the report's Step-0 total %v", snap.WallMillis, want)
 	}
 }
 
