@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -77,6 +78,31 @@ func (at *AnalyzedTrace) cloneAnalyzed() *AnalyzedTrace {
 		keyIDs:         cloneSlice(at.keyIDs),
 		windowIDs:      cloneSlice(at.windowIDs),
 	}
+}
+
+// chunkGrain is the fewest traces a worker is given by the report's
+// per-trace loops (Steps 2–4, the detach clone and ReportJSON's
+// encode). Below it a goroutine costs more than it saves, so a corpus
+// smaller than two grains runs each loop inline on the caller. Tests
+// lower it to drive small corpora through real chunks.
+var chunkGrain = 64
+
+// chunkCount returns how many contiguous chunks n items split into for
+// up to workers goroutines (0 = GOMAXPROCS): at least chunkGrain items
+// each, and always at least one chunk.
+func chunkCount(workers, n int) int {
+	return parallel.Workers(workers, n/chunkGrain)
+}
+
+// forChunks runs fn over chunks contiguous ranges [lo, hi) of [0, n),
+// chunk c covering [c*n/chunks, (c+1)*n/chunks), one goroutine per
+// chunk (none for a single chunk). It returns the error of the lowest
+// failing chunk, which for a fn that stops at its first failing item is
+// the error of the lowest failing item.
+func forChunks(chunks, n int, fn func(c, lo, hi int) error) error {
+	return parallel.ForEach(chunks, chunks, func(c int) error {
+		return fn(c, c*n/chunks, (c+1)*n/chunks)
+	})
 }
 
 // pendingOp is one queued corpus mutation awaiting application.
@@ -334,31 +360,35 @@ func (ia *IncrementalAnalyzer) Report() (*Report, error) {
 // ReportJSON is Report plus the report's JSON encoding: the bytes are
 // identical to json.Marshal of the returned report (and an encoding
 // failure is json.Marshal's error). Each corpus entry caches its
-// trace's encoded Step-1 fields, filled here under the analyzer lock
-// for entries that lack them; the report is then encoded after the
-// lock is released, reusing those bytes and encoding only the
-// Steps-2–5 fields afresh, in parallel over Config.Parallelism
-// workers. Report never fills the cache, so callers that do not serve
-// JSON pay nothing for it.
+// trace's encoded Step-1 fields and its encoded Steps-3–4 fields. The
+// report is encoded after the analyzer lock is released, in parallel
+// over Config.Parallelism workers, from those bytes where cached, and
+// only the rank column and the missing parts are encoded afresh; the
+// lock is then taken again to cache the parts encoded. Report never
+// fills the caches, so callers that do not serve JSON pay nothing for
+// them.
 func (ia *IncrementalAnalyzer) ReportJSON() (*Report, []byte, error) {
 	ia.mu.Lock()
-	report, prefixes, err := ia.reportLocked(true)
+	report, parts, err := ia.reportLocked(true)
 	ia.mu.Unlock()
 	if err != nil {
 		return nil, nil, err
 	}
-	data, err := encodeReport(report, prefixes, ia.a.cfg.Parallelism)
+	data, err := encodeReport(report, parts, ia.a.cfg.Parallelism)
 	if err != nil {
 		return nil, nil, err
 	}
+	ia.mu.Lock()
+	cacheJSON(parts)
+	ia.mu.Unlock()
 	return report, data, nil
 }
 
-// reportLocked is Report's body. With withJSON it also fills the
-// Step-1 JSON cache of every entry that lacks it and returns the cached
-// prefixes parallel to the report's traces (nil on the full-replay
-// fallback, whose traces the encoder encodes whole). Callers hold ia.mu.
-func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, [][]byte, error) {
+// reportLocked is Report's body. With withJSON it also returns the
+// cached JSON parts of the report's traces, parallel to them (nil on
+// the full-replay fallback, whose traces the encoder encodes whole).
+// Callers hold ia.mu.
+func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, []traceJSON, error) {
 	start := time.Now()
 	tr := ia.a.cfg.Tracer
 	if tr == nil {
@@ -407,37 +437,70 @@ func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, [][]byte, e
 		return nil, nil, fmt.Errorf("core: all %d traces invalid (first: %s)", len(ia.bundles), skipped[0].Reason)
 	}
 
+	// Steps 2–4 and the detach clone below are per-trace computations
+	// once the summaries are current, so each runs over contiguous
+	// chunks of the corpus (inline below chunkGrain traces per worker).
+	workers := ia.a.cfg.Parallelism
+	chunks := chunkCount(workers, len(entries))
+
 	// Step 2: re-rank only traces whose key multisets changed.
 	s2 := root.Child("step2.rank")
-	rankDirty := 0
-	for _, e := range entries {
-		if e.rankStale(ia.cs) {
-			ia.refreshRanks(e)
-			rankDirty++
+	ranked := make([]int, chunks)
+	_ = forChunks(chunks, len(entries), func(c, lo, hi int) error {
+		for _, e := range entries[lo:hi] {
+			if e.rankStale(ia.cs) {
+				ia.refreshRanks(e)
+				ranked[c]++
+			}
 		}
+		return nil
+	})
+	rankDirty := 0
+	for _, n := range ranked {
+		rankDirty += n
 	}
 	rec2 := s2.End()
 
-	// Step 3: re-normalize only traces whose base powers changed.
+	// Step 3: re-normalize only traces whose base powers changed,
+	// dropping their cached detection JSON with the columns it encodes
+	// and bumping its generation, so a ReportJSON that read the old
+	// columns does not cache their encoding back. Concatenating the
+	// chunks' lists keeps the dirty set in corpus order.
 	s3 := root.Child("step3.normalize")
-	var detectDirty []*traceEntry
-	for _, e := range entries {
-		if e.baseStale(ia.cs) {
-			ia.a.normalize(e.at, ia.cs.base)
-			detectDirty = append(detectDirty, e)
+	stale := make([][]*traceEntry, chunks)
+	_ = forChunks(chunks, len(entries), func(c, lo, hi int) error {
+		for _, e := range entries[lo:hi] {
+			if e.baseStale(ia.cs) {
+				ia.a.normalize(e.at, ia.cs.base)
+				e.detectJSON = nil
+				e.detectGen++
+				stale[c] = append(stale[c], e)
+			}
 		}
-	}
+		return nil
+	})
+	detectDirty := slices.Concat(stale...)
 	rec3 := s3.End()
 
-	// Step 4: re-detect the same traces, in corpus order so a detection
-	// error surfaces for the same trace the batch fan-out would pick
-	// (its lowest-index error; a failing trace is always stale because
-	// errors never stamp).
+	// Step 4: re-detect the same traces in chunks, then fold their
+	// Step-5 contributions serially in corpus order up to the first
+	// failure, so the error surfaces for the same trace the batch
+	// fan-out would pick (its lowest-index error; a failing trace is
+	// always stale because it is never folded) and the counts stop
+	// where a serial loop would stop them.
 	s4 := root.Child("step4.detect")
-	for _, e := range detectDirty {
-		if err := ia.refreshDetect(e); err != nil {
-			return nil, nil, fmt.Errorf("trace %s: %w", e.at.TraceID, err)
+	errs := make([]error, len(detectDirty))
+	_ = forChunks(chunkCount(workers, len(detectDirty)), len(detectDirty), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			errs[i] = ia.a.detect(detectDirty[i].at)
 		}
+		return nil
+	})
+	for i, e := range detectDirty {
+		if errs[i] != nil {
+			return nil, nil, fmt.Errorf("trace %s: %w", e.at.TraceID, errs[i])
+		}
+		ia.foldDetect(e)
 	}
 	rec4 := s4.End()
 
@@ -456,12 +519,15 @@ func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, [][]byte, e
 		}
 	}
 	traces := make([]*AnalyzedTrace, len(entries))
-	for i, e := range entries {
-		traces[i] = e.at.cloneAnalyzed()
-	}
-	var prefixes [][]byte
+	_ = forChunks(chunks, len(entries), func(_, lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			traces[i] = entries[i].at.cloneAnalyzed()
+		}
+		return nil
+	})
+	var parts []traceJSON
 	if withJSON {
-		prefixes = ia.stepOnePrefixes(entries)
+		parts = cachedJSON(entries)
 	}
 	report.Traces = traces
 
@@ -487,7 +553,7 @@ func (ia *IncrementalAnalyzer) reportLocked(withJSON bool) (*Report, [][]byte, e
 	mTracesSkipped.Add(int64(len(skipped)))
 	gSkippedLast.Set(float64(len(skipped)))
 	ia.finishReportMetrics(start, len(ia.bundles))
-	return report, prefixes, nil
+	return report, parts, nil
 }
 
 // finishReportMetrics updates the incremental gauges from the Step-1

@@ -48,22 +48,39 @@ func reportJSON(t *testing.T, r *core.Report) []byte {
 	return data
 }
 
-// infiniteDevice names a device profile with infinite base power: any
-// trace recorded on it gets non-finite Step-1 powers.
-const infiniteDevice = "infinite-base"
+// Device profiles the differential suite moves bundles onto.
+// infiniteDevice has infinite base power: any trace recorded on it gets
+// non-finite Step-1 powers. dimDevice draws a subnormal power except on
+// GPS, which the test workload never powers, so its traces' powers are
+// finite but so small that, once they are a tenth of a key's instances,
+// the key's base power divides other devices' powers to infinity and
+// Step 4 fails on those traces.
+const (
+	infiniteDevice = "infinite-base"
+	dimDevice      = "dim"
+)
 
-// infiniteDeviceRegistry returns the built-in device registry plus
-// infiniteDevice.
-func infiniteDeviceRegistry(t *testing.T) *device.Registry {
+// deviceRegistry returns the built-in device registry plus
+// infiniteDevice and dimDevice.
+func deviceRegistry(t *testing.T) *device.Registry {
 	t.Helper()
 	reg := device.NewRegistry()
 	p, err := reg.Lookup("nexus6")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Name = infiniteDevice
-	p.BaseMW = math.Inf(1)
-	reg.Register(p)
+	inf := p
+	inf.Name = infiniteDevice
+	inf.BaseMW = math.Inf(1)
+	reg.Register(inf)
+	dim := p
+	dim.Name = dimDevice
+	dim.BaseMW = 1e-309
+	for i := range dim.CoeffMW {
+		dim.CoeffMW[i] = 1e-309
+	}
+	dim.CoeffMW[trace.GPS-1] = 1
+	reg.Register(dim)
 	return reg
 }
 
@@ -97,24 +114,32 @@ func (m *mirror) remove(key string) {
 // serving encode path rides along: two more analyzers take the same
 // mutations and answer ReportJSON at Parallelism 1 and 4, whose bytes
 // must equal both json.Marshal of the report they return and the batch
-// report's bytes. Variants cover estimation noise (Step-1 purity under
-// the per-bundle seeded RNG), a cache far smaller than the corpus
-// (eviction must cost time, never correctness), and a pool holding
-// traces with non-finite Step-1 powers, which the summaries cannot
-// represent: while one is in the corpus every engine must fail with the
-// batch pipeline's error, and once it leaves the sublinear path resumes.
+// report's bytes. The chunk grain is 1, so the report's per-trace loops
+// split even these small corpora into one chunk per worker. Variants
+// cover estimation noise (Step-1 purity under the per-bundle seeded
+// RNG), a cache far smaller than the corpus (eviction must cost time,
+// never correctness), a pool holding traces with non-finite Step-1
+// powers, which the summaries cannot represent (while one is in the
+// corpus every engine must fail with the batch pipeline's error, and
+// once it leaves the sublinear path resumes), and a pool holding a
+// trace that makes Step 4 fail on several others on the sublinear
+// path, where the error must name the batch pipeline's lowest failing
+// trace.
 func TestIncrementalMatchesBatch(t *testing.T) {
+	t.Cleanup(core.SetChunkGrain(1))
 	variants := []struct {
 		name      string
 		noise     float64
 		cacheCap  int
 		mutations int
-		nonFinite []int // pool indices moved onto a device with infinite base power
+		device    string // device the moved pool indices are recorded on
+		moved     []int
 	}{
-		{"no-noise", 0, 0, 120, nil},
-		{"paper-noise", power.PaperNoiseFrac, 0, 120, nil},
-		{"tiny-cache", 0, 3, 80, nil},
-		{"non-finite", 0, 0, 120, []int{3, 9}},
+		{"no-noise", 0, 0, 120, "", nil},
+		{"paper-noise", power.PaperNoiseFrac, 0, 120, "", nil},
+		{"tiny-cache", 0, 3, 80, "", nil},
+		{"non-finite", 0, 0, 120, infiniteDevice, []int{3, 9}},
+		{"detect-error", 0, 0, 120, dimDevice, []int{3}},
 	}
 	basePool := bundlePool(t, 14, 41)
 	for _, v := range variants {
@@ -123,12 +148,12 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			cfg.EstimationNoiseFrac = v.noise
 			cfg.NoiseSeed = 7
 			pool := append([]*trace.TraceBundle(nil), basePool...)
-			if len(v.nonFinite) > 0 {
-				cfg.Devices = infiniteDeviceRegistry(t)
-				for _, i := range v.nonFinite {
+			if len(v.moved) > 0 {
+				cfg.Devices = deviceRegistry(t)
+				for _, i := range v.moved {
 					b := *pool[i]
 					b.Key = ""
-					b.Event.Device = infiniteDevice
+					b.Event.Device = v.device
 					pool[i] = &b
 				}
 			}
@@ -190,7 +215,7 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				}
 				want, wantErr := batch.Analyze(m.bundles)
 				if wantErr != nil {
-					if len(v.nonFinite) == 0 {
+					if len(v.moved) == 0 {
 						t.Fatalf("step %d: batch analyze: %v", step, wantErr)
 					}
 					failed++
@@ -207,8 +232,31 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 				if gotErr != nil {
 					t.Fatalf("step %d: incremental report: %v", step, gotErr)
 				}
+				wj, wantEnc := json.Marshal(want)
+				gj, gotEnc := json.Marshal(got)
+				if wantEnc != nil {
+					// A trace too short for Step 4's fences keeps a
+					// non-finite normalized power: the corpus analyzes
+					// but its report does not encode, and every engine
+					// must fail to encode it with json.Marshal's error.
+					if len(v.moved) == 0 {
+						t.Fatalf("step %d: encoding the batch report: %v", step, wantEnc)
+					}
+					failed++
+					if gotEnc == nil || gotEnc.Error() != wantEnc.Error() {
+						t.Fatalf("step %d: encoding the incremental report: error %v, want batch error %v", step, gotEnc, wantEnc)
+					}
+					for p, e := range encoders {
+						if _, _, err := e.ReportJSON(); err == nil || err.Error() != wantEnc.Error() {
+							t.Fatalf("step %d: ReportJSON at parallelism %d: error %v, want batch error %v", step, p, err, wantEnc)
+						}
+					}
+					return
+				}
+				if gotEnc != nil {
+					t.Fatalf("step %d: encoding the incremental report: %v", step, gotEnc)
+				}
 				served++
-				gj, wj := reportJSON(t, got), reportJSON(t, want)
 				if !bytes.Equal(gj, wj) {
 					t.Fatalf("step %d: incremental report diverged from batch over %d bundles:\nincremental: %.200s\nbatch:       %.200s",
 						step, len(m.bundles), gj, wj)
@@ -300,8 +348,8 @@ func TestIncrementalMatchesBatch(t *testing.T) {
 			if v.cacheCap == 3 && st.Evictions == 0 {
 				t.Fatal("tiny cache variant never evicted; eviction-then-recompute path untested")
 			}
-			if len(v.nonFinite) > 0 && (failed == 0 || served == 0) {
-				t.Fatalf("non-finite variant failed %d and served %d corpora; want both paths exercised", failed, served)
+			if len(v.moved) > 0 && (failed == 0 || served == 0) {
+				t.Fatalf("%s variant failed %d and served %d corpora; want both paths exercised", v.name, failed, served)
 			}
 		})
 	}
@@ -433,9 +481,11 @@ func TestServedReportDetachedFromAnalyzerState(t *testing.T) {
 // TestIncrementalConcurrentUse exercises Add/Remove/Report/ReportJSON/
 // CacheStats racing from many goroutines; correctness here is "no race,
 // no panic, reports internally consistent", pinned under -race in CI.
-// ReportJSON encodes outside the analyzer lock, from Step-1 bytes that
-// a concurrent ReportJSON may be caching for other traces.
+// ReportJSON encodes outside the analyzer lock, from cached bytes that
+// a concurrent ReportJSON may be filling for other traces; the chunk
+// grain is 1, so the report's per-trace loops run on several workers.
 func TestIncrementalConcurrentUse(t *testing.T) {
+	t.Cleanup(core.SetChunkGrain(1))
 	pool := bundlePool(t, 10, 53)
 	inc, err := core.NewIncrementalAnalyzer(core.DefaultConfig(), 4)
 	if err != nil {
@@ -479,6 +529,53 @@ func TestIncrementalConcurrentUse(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestReportJSONCachesOnlyCurrentColumns: a ReportJSON encodes its
+// report after releasing the analyzer lock and caches the parts it
+// encoded afterwards. When another mutation and report re-normalize a
+// trace in between, the encoding of the replaced columns must not be
+// cached, or every later ReportJSON would serve it.
+func TestReportJSONCachesOnlyCurrentColumns(t *testing.T) {
+	pool := bundlePool(t, 12, 73)
+	cfg := core.DefaultConfig()
+	inc, err := core.NewIncrementalAnalyzer(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range pool[:8] {
+		inc.Add(b)
+	}
+	if _, _, err := inc.ReportJSON(); err != nil {
+		t.Fatal(err)
+	}
+	inc.Add(pool[8])
+	if _, _, err := inc.ReportJSONWith(func() {
+		inc.Add(pool[9])
+		if _, err := inc.Report(); err != nil {
+			t.Fatal(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if inc.SummaryStats().DetectDirtyTraces == 0 {
+		t.Fatal("the interleaved report re-normalized no trace; the test exercises nothing")
+	}
+	batch, err := core.NewAnalyzer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := batch.Analyze(pool[:10])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, data, err := inc.ReportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, reportJSON(t, want)) {
+		t.Fatal("ReportJSON served a detection encoding cached from columns replaced while it was encoded")
+	}
 }
 
 func indexOf(keys []string, k string) int {

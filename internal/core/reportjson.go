@@ -2,22 +2,30 @@ package core
 
 import (
 	"encoding/json"
+	"math"
+	"reflect"
+	"strconv"
 
-	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
-// The serving encode path. A served report is dominated by the per-trace
-// Step-1 fields (traceId, userId, device and the events vector), which
-// never change once Step 1 has run, while every re-analysis re-ranks
-// and so re-encodes the Steps-2–5 columns. encodeReport therefore splits
-// each trace's JSON object at the boundary between the two: the Step-1
-// prefix is encoded once per incremental corpus entry and reused, the
-// derived suffix is encoded fresh. Both halves come from json.Marshal of
-// structs that mirror AnalyzedTrace's field order and tags, and the
-// report's own header and tail likewise, so the concatenation is
-// byte-identical to json.Marshal of the whole report by construction.
-// TestIncrementalMatchesBatch and FuzzReportJSON hold it to that.
+// The serving encode path. A served report is dominated by per-trace
+// columns that change far less often than the report does: the Step-1
+// fields (traceId, userId, device and the events vector) never change
+// once Step 1 has run, and the Steps-3–4 fields (normPower through
+// windowKeys) change only when a base power the trace normalizes
+// against moves. The rank column, by contrast, changes on almost every
+// re-analysis, since each added instance shifts the ranks of its key.
+// encodeReport therefore splits each trace's JSON object into three
+// parts: the Step-1 prefix and the detection suffix are encoded once
+// per incremental corpus entry and reused until invalidated, and the
+// rank member between them is encoded fresh. The parts come from
+// json.Marshal of structs that mirror AnalyzedTrace's field order and
+// tags, and from appendFloats for float columns, which follows
+// encoding/json's float rules; the report's own header and tail come
+// from mirror structs too. So the concatenation is byte-identical to
+// json.Marshal of the whole report, and TestIncrementalMatchesBatch and
+// FuzzReportJSON hold it to that.
 
 // stepOneFields mirrors the leading Step-1 fields of AnalyzedTrace.
 type stepOneFields struct {
@@ -27,11 +35,9 @@ type stepOneFields struct {
 	Events  []EventPower `json:"events"`
 }
 
-// derivedFields mirrors the trailing Steps-2–5 fields of AnalyzedTrace.
-type derivedFields struct {
-	Rank           []float64        `json:"rank"`
-	NormPower      []float64        `json:"normPower"`
-	Amplitude      []float64        `json:"amplitude"`
+// detectTail mirrors the fields of AnalyzedTrace after its amplitude
+// column.
+type detectTail struct {
 	Fence          float64          `json:"fence"`
 	Manifestations []int            `json:"manifestations"`
 	WindowKeys     []trace.EventKey `json:"windowKeys"`
@@ -50,6 +56,20 @@ type reportTail struct {
 	Skipped        []SkippedTrace `json:"skipped,omitempty"`
 }
 
+// rankKey joins the rank member to the Step-1 prefix.
+const rankKey = `,"rank":`
+
+// traceJSON carries one trace's encoded parts through a ReportJSON
+// call: its Step-1 prefix (see encodeStepOne) and its detection suffix
+// (see encodeDetect), nil where its corpus entry had none cached, plus
+// that entry and its detection generation when the report read it, so
+// the parts the encoder has to encode can be cached back (cacheJSON).
+type traceJSON struct {
+	stepOne, detect []byte
+	e               *traceEntry
+	gen             uint64
+}
+
 // encodeStepOne returns the trace's JSON object from its opening brace
 // through the closing bracket of "events", without the object's closing
 // brace.
@@ -61,83 +81,128 @@ func (at *AnalyzedTrace) encodeStepOne() ([]byte, error) {
 	return b[:len(b)-1], nil
 }
 
-// encodeDerived returns the trace's Steps-2–5 members with the opening
-// brace of their object replaced by the comma that joins them to the
-// Step-1 prefix, through the trace object's closing brace.
-func (at *AnalyzedTrace) encodeDerived() ([]byte, error) {
-	b, err := json.Marshal(derivedFields{
-		Rank:           at.Rank,
-		NormPower:      at.NormPower,
-		Amplitude:      at.Amplitude,
-		Fence:          at.Fence,
-		Manifestations: at.Manifestations,
-		WindowKeys:     at.WindowKeys,
-	})
+// encodeDetect returns the trace's Steps-3–4 members, from the comma
+// that joins them to the rank member through the trace object's closing
+// brace. The two float columns go through appendFloats, the rest
+// through json.Marshal of a mirror struct whose opening brace becomes
+// the comma after the amplitude column.
+func (at *AnalyzedTrace) encodeDetect() ([]byte, error) {
+	// Room for ~20 bytes per float.
+	b := make([]byte, 0, 64+20*(len(at.NormPower)+len(at.Amplitude)))
+	b, err := appendFloats(append(b, `,"normPower":`...), at.NormPower)
 	if err != nil {
 		return nil, err
 	}
-	b[0] = ','
-	return b, nil
+	if b, err = appendFloats(append(b, `,"amplitude":`...), at.Amplitude); err != nil {
+		return nil, err
+	}
+	tail, err := json.Marshal(detectTail{Fence: at.Fence, Manifestations: at.Manifestations, WindowKeys: at.WindowKeys})
+	if err != nil {
+		return nil, err
+	}
+	tail[0] = ','
+	return append(b, tail...), nil
 }
 
-// stepOnePrefixes returns the cached Step-1 prefix of each entry's trace,
-// first encoding, in parallel, those not yet cached. An entry whose
-// prefix does not encode stays uncached (nil), so the error surfaces
-// where the report is encoded. Callers hold ia.mu.
-func (ia *IncrementalAnalyzer) stepOnePrefixes(entries []*traceEntry) [][]byte {
-	var missing []*traceEntry
-	for _, e := range entries {
-		if e.stepOneJSON == nil {
-			missing = append(missing, e)
+// appendFloats appends fs as encoding/json encodes a []float64: null
+// for a nil slice, else each element in its shortest round-tripping
+// form, in exponent form below 1e-6 or from 1e21 in magnitude (with a
+// one-digit negative exponent unpadded). A NaN or infinity is
+// json.Marshal's error.
+func appendFloats(dst []byte, fs []float64) ([]byte, error) {
+	if fs == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, f := range fs {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return nil, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		}
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		format := byte('f')
+		if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+			format = 'e'
+		}
+		dst = strconv.AppendFloat(dst, f, format, -1, 64)
+		if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1] // e-07 -> e-7
+			dst = dst[:n-1]
 		}
 	}
-	_ = parallel.ForEach(ia.a.cfg.Parallelism, len(missing), func(i int) error {
-		if b, err := missing[i].at.encodeStepOne(); err == nil {
-			missing[i].stepOneJSON = b
-		}
-		return nil
-	})
-	prefixes := make([][]byte, len(entries))
+	return append(dst, ']'), nil
+}
+
+// cachedJSON returns each entry's cached parts, read under ia.mu.
+func cachedJSON(entries []*traceEntry) []traceJSON {
+	parts := make([]traceJSON, len(entries))
 	for i, e := range entries {
-		prefixes[i] = e.stepOneJSON
+		parts[i] = traceJSON{stepOne: e.stepOneJSON, detect: e.detectJSON, e: e, gen: e.detectGen}
 	}
-	return prefixes
+	return parts
+}
+
+// cacheJSON stores the parts encodeReport encoded on their corpus
+// entries: a Step-1 prefix whenever the entry still lacks one (it
+// cannot go stale), a detection suffix only when no report has
+// re-normalized the trace since its columns were read. The bytes are
+// read-only from here on. Callers hold ia.mu.
+func cacheJSON(parts []traceJSON) {
+	for _, p := range parts {
+		if p.e.stepOneJSON == nil {
+			p.e.stepOneJSON = p.stepOne
+		}
+		if p.e.detectJSON == nil && p.e.detectGen == p.gen {
+			p.e.detectJSON = p.detect
+		}
+	}
 }
 
 // encodeReport returns the same bytes as json.Marshal(r), or the error
 // it would return, for a report with at least one trace and no nil
-// traces, as every analyzer's is. prefixes, when not nil, holds the
-// cached Step-1 prefix of each trace (nil where none is cached). Traces
-// are encoded in contiguous chunks on up to workers goroutines
-// (0 = GOMAXPROCS) and assembled into one exact-size buffer.
-func encodeReport(r *Report, prefixes [][]byte, workers int) ([]byte, error) {
+// traces, as every analyzer's is. parts, when not nil, holds each
+// trace's cached parts, and encodeReport fills in the ones that are
+// nil. Traces are encoded in contiguous chunks on up to workers
+// goroutines (0 = GOMAXPROCS): each chunk first encodes its rank
+// members and any uncached parts, then, once the chunks' sizes fix
+// their offsets, copies its traces into one exact-size buffer.
+func encodeReport(r *Report, parts []traceJSON, workers int) ([]byte, error) {
 	head, err := json.Marshal(reportHead{AppID: r.AppID, TotalTraces: r.TotalTraces})
 	if err != nil {
 		return nil, err
 	}
 	n := len(r.Traces)
-	prefix := make([][]byte, n)
-	if prefixes != nil {
-		copy(prefix, prefixes)
+	if parts == nil {
+		parts = make([]traceJSON, n)
 	}
-	suffix := make([][]byte, n)
-	chunks := parallel.Workers(workers, n)
-	err = parallel.ForEach(chunks, chunks, func(c int) error {
-		for i := c * n / chunks; i < (c+1)*n/chunks; i++ {
-			at := r.Traces[i]
-			p := prefix[i]
-			if p == nil {
-				var err error
-				if p, err = at.encodeStepOne(); err != nil {
+	chunks := chunkCount(workers, n)
+	ranks := make([][]byte, chunks) // each chunk's rank members, back to back
+	rankEnd := make([]int, n)       // end of trace i's rank member in its chunk's ranks
+	size := make([]int, chunks)     // each chunk's bytes, with separating commas
+	err = forChunks(chunks, n, func(c, lo, hi int) error {
+		var buf []byte
+		for i := lo; i < hi; i++ {
+			at, p := r.Traces[i], &parts[i]
+			var err error
+			if p.stepOne == nil {
+				if p.stepOne, err = at.encodeStepOne(); err != nil {
 					return err
 				}
 			}
-			s, err := at.encodeDerived()
-			if err != nil {
+			if buf, err = appendFloats(append(buf, rankKey...), at.Rank); err != nil {
 				return err
 			}
-			prefix[i], suffix[i] = p, s
+			rankEnd[i] = len(buf)
+			if p.detect == nil {
+				if p.detect, err = at.encodeDetect(); err != nil {
+					return err
+				}
+			}
+			size[c] += len(p.stepOne) + len(p.detect)
 		}
+		ranks[c] = buf
+		size[c] += len(buf) + hi - lo
 		return nil
 	})
 	if err != nil {
@@ -148,24 +213,35 @@ func encodeReport(r *Report, prefixes [][]byte, workers int) ([]byte, error) {
 		return nil, err
 	}
 
-	const tracesKey = `,"traces":`
 	// head loses its closing brace and tail's opening brace becomes a
-	// comma; the traces array adds its brackets and separating commas.
-	size := len(head) - 1 + len(tracesKey) + len("[]") + n - 1 + len(tail)
-	for i := range prefix {
-		size += len(prefix[i]) + len(suffix[i])
+	// comma. Each trace was counted above with one byte before it: a
+	// comma, or for the first trace the array's opening bracket, on
+	// which the first chunk's offset therefore starts.
+	const tracesKey = `,"traces":[`
+	offset := make([]int, chunks)
+	total := len(head) - 1 + len(tracesKey) - 1
+	for c := range size {
+		offset[c] = total
+		total += size[c]
 	}
-	out := make([]byte, 0, size)
-	out = append(out, head[:len(head)-1]...)
-	out = append(out, tracesKey+"["...)
-	for i := range prefix {
-		if i > 0 {
-			out = append(out, ',')
+	out := make([]byte, total+len("]")+len(tail))
+	copy(out[copy(out, head[:len(head)-1]):], tracesKey)
+	_ = forChunks(chunks, n, func(c, lo, hi int) error {
+		w, rank := offset[c], 0
+		for i := lo; i < hi; i++ {
+			if i > 0 {
+				out[w] = ','
+			}
+			w++
+			w += copy(out[w:], parts[i].stepOne)
+			w += copy(out[w:], ranks[c][rank:rankEnd[i]])
+			rank = rankEnd[i]
+			w += copy(out[w:], parts[i].detect)
 		}
-		out = append(out, prefix[i]...)
-		out = append(out, suffix[i]...)
-	}
-	out = append(out, ']')
+		return nil
+	})
+	out[total] = ']'
 	tail[0] = ','
-	return append(out, tail...), nil
+	copy(out[total+1:], tail)
+	return out, nil
 }

@@ -3,6 +3,8 @@ package core_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/apps"
@@ -65,9 +67,12 @@ func renamedCorpus(t testing.TB, corpus []*trace.TraceBundle, traceID, userID, d
 // checkReportJSON holds ReportJSON, at Parallelism 1 and 4, to
 // json.Marshal of the report it returns and to the batch report's
 // bytes, and the encoder itself to json.Marshal on the batch report,
-// whose traces carry no cached Step-1 prefix. It returns the bytes.
+// whose traces carry no cached parts. The chunk grain is 1, so the
+// encoder splits even these small reports into one chunk per worker.
+// It returns the bytes.
 func checkReportJSON(t testing.TB, cfg core.Config, corpus []*trace.TraceBundle) []byte {
 	t.Helper()
+	defer core.SetChunkGrain(1)()
 	batch, err := core.NewAnalyzer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -95,8 +100,8 @@ func checkReportJSON(t testing.TB, cfg core.Config, corpus []*trace.TraceBundle)
 		for _, b := range corpus {
 			inc.Add(b)
 		}
-		// Twice: the first call fills the Step-1 cache, the second
-		// serves from it.
+		// Twice: the first call fills the JSON caches, the second
+		// serves from them.
 		for round := 0; round < 2; round++ {
 			r, data, err := inc.ReportJSON()
 			if wantErr != nil {
@@ -177,4 +182,43 @@ func FuzzReportJSON(f *testing.F) {
 		corpus, cfg := renamedCorpus(t, corpora[int(which)%len(corpora)], traceID, userID, dev, class)
 		checkReportJSON(t, cfg, corpus)
 	})
+}
+
+// TestAppendFloatsMatchesMarshal holds the rank-column encoder to
+// json.Marshal of a []float64 across both of its formats (plain and
+// exponent, with the exponent's padding trimmed), their boundaries,
+// negative zero, nil versus empty, and the non-finite error.
+func TestAppendFloatsMatchesMarshal(t *testing.T) {
+	cases := [][]float64{
+		nil,
+		{},
+		{0, math.Copysign(0, -1), 1, 1.5, -2.25, 10007.5},
+		{1e-6, 9.999999e-7, 1e-7, 1.5e-9, 1e-10, 5e-324, math.SmallestNonzeroFloat64},
+		{1e20, 1e21, 9.999999999999999e20, 1.2345e21, 1e100, math.MaxFloat64, -1e21, -3e-8},
+		{0.1, 0.2, 0.30000000000000004, 1.0 / 3, 2.0 / 3, 123456789.123456789},
+		{1, math.Inf(1)},
+		{math.NaN()},
+		{math.Inf(-1), 2},
+	}
+	rng := rand.New(rand.NewSource(67))
+	for i := 0; i < 200; i++ {
+		fs := make([]float64, 1+rng.Intn(5))
+		for j := range fs {
+			fs[j] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+		cases = append(cases, fs)
+	}
+	for _, fs := range cases {
+		want, wantErr := json.Marshal(fs)
+		got, gotErr := core.AppendFloats([]byte("x"), fs)
+		if wantErr != nil {
+			if gotErr == nil || gotErr.Error() != wantErr.Error() {
+				t.Errorf("%v: error %v, want json.Marshal's %v", fs, gotErr, wantErr)
+			}
+			continue
+		}
+		if gotErr != nil || string(got) != "x"+string(want) {
+			t.Errorf("%v: got %s (error %v), want x%s", fs, got, gotErr, want)
+		}
+	}
 }

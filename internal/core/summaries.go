@@ -76,6 +76,14 @@ type traceEntry struct {
 	// fields it encodes never change after Step 1, and the bytes are
 	// read-only once set, so reports encode from them outside ia.mu.
 	stepOneJSON []byte
+	// detectJSON caches the JSON encoding of at's Steps-3–4 members,
+	// from ,"normPower": through the object's closing brace. Only
+	// ReportJSON fills it, and a report drops it whenever it
+	// re-normalizes the trace, bumping detectGen so an encoding of the
+	// replaced columns is not cached back; the bytes are read-only once
+	// set.
+	detectJSON []byte
+	detectGen  uint64
 }
 
 // corpusState is the applied incremental corpus: per-key summaries and
@@ -190,10 +198,12 @@ func (ia *IncrementalAnalyzer) applyAdd(key string) {
 	}
 	ia.refreshRanks(e)
 	ia.a.normalize(e.at, cs.base)
-	// A detect failure here is deliberately swallowed: the entry stays
-	// detect-stale, so the next Report recomputes it in corpus order and
-	// surfaces the error exactly where the batch pipeline would.
-	_ = ia.refreshDetect(e)
+	// A detect failure here leaves the entry detect-stale (unstamped),
+	// so the next Report recomputes it in corpus order and surfaces the
+	// error exactly where the batch pipeline would.
+	if ia.a.detect(e.at) == nil {
+		ia.foldDetect(e)
+	}
 }
 
 // applyRemove retracts key's applied state: summary deletions, base
@@ -305,17 +315,14 @@ func (ia *IncrementalAnalyzer) refreshRanks(e *traceEntry) {
 	}
 }
 
-// refreshDetect re-runs Step 4 on an already-normalized trace and folds
-// the trace's new Step-5 contributions into the maintained aggregates.
-// The caller must have run Analyzer.normalize against cs.base first. On
-// error nothing is stamped, so the trace stays detect-stale and the
-// error reproduces on the next Report.
-func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
+// foldDetect folds the Step-5 contributions of a trace that Step 4 has
+// just re-detected without error into the maintained aggregates, and
+// stamps the trace detect-fresh. A trace whose detect failed is never
+// folded, so it stays detect-stale and the error reproduces on the next
+// Report.
+func (ia *IncrementalAnalyzer) foldDetect(e *traceEntry) {
 	cs := ia.cs
 	at := e.at
-	if err := ia.a.detect(at); err != nil {
-		return err
-	}
 	for _, id := range e.contributed {
 		cs.impact[id]--
 	}
@@ -339,7 +346,6 @@ func (ia *IncrementalAnalyzer) refreshDetect(e *traceEntry) error {
 	for j, id := range e.ids {
 		e.baseStamp[j] = cs.baseEpoch[id]
 	}
-	return nil
 }
 
 // SummaryStats is a snapshot of the incremental engine's summary state,

@@ -48,6 +48,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -61,6 +62,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/obs"
+	"repro/internal/parallel"
 	"repro/internal/trace"
 )
 
@@ -226,32 +228,69 @@ func New(cfg Config) (*Service, error) {
 		hub:  newHub(cfg.StreamReplay, cfg.StreamQueue),
 		apps: make(map[string]*appState),
 	}
-	// All fleet gauges read the one cached snapshot: a scrape exports
-	// five gauges for one service-lock acquisition and one summary walk.
-	obs.Default.GaugeFunc("serve_apps_tracked", "apps with a live incremental analyzer", func() float64 {
-		return float64(s.metricsSnap().apps)
-	})
-	obs.Default.GaugeFunc("serve_apps_dirty", "apps with arrivals not yet re-analyzed", func() float64 {
-		return float64(s.metricsSnap().dirty)
-	})
-	obs.Default.GaugeFunc("serve_report_staleness_seconds", "age of the oldest dirty app's served report (0 when no app is dirty)", func() float64 {
-		return s.metricsSnap().staleness
-	})
-	// Per-app summary state rolled up across the fleet of analyzers;
-	// the per-app breakdown is served by /analysis/apps.
-	obs.Default.GaugeFunc("analysis_summary_keys", "event keys with a live per-key power summary across all apps", func() float64 {
-		return s.metricsSnap().summaryKeys
-	})
-	obs.Default.GaugeFunc("analysis_summary_bytes", "retained per-key summary memory across all apps", func() float64 {
-		return s.metricsSnap().summaryBytes
-	})
-	obs.Default.GaugeFunc("analysis_dirty_traces", "traces re-ranked by the most recent incremental re-analyses across all apps", func() float64 {
-		return s.metricsSnap().dirtyTraces
+	live.Lock()
+	live.services[s] = struct{}{}
+	live.Unlock()
+	registerFleetGauges.Do(func() {
+		obs.Default.GaugeFunc("serve_apps_tracked", "apps with a live incremental analyzer", func() float64 {
+			return float64(fleetSnapshot().apps)
+		})
+		obs.Default.GaugeFunc("serve_apps_dirty", "apps with arrivals not yet re-analyzed", func() float64 {
+			return float64(fleetSnapshot().dirty)
+		})
+		obs.Default.GaugeFunc("serve_report_staleness_seconds", "age of the oldest dirty app's served report (0 when no app is dirty)", func() float64 {
+			return fleetSnapshot().staleness
+		})
+		// Per-app summary state rolled up across the fleet of analyzers;
+		// the per-app breakdown is served by /analysis/apps.
+		obs.Default.GaugeFunc("analysis_summary_keys", "event keys with a live per-key power summary across all apps", func() float64 {
+			return fleetSnapshot().summaryKeys
+		})
+		obs.Default.GaugeFunc("analysis_summary_bytes", "retained per-key summary memory across all apps", func() float64 {
+			return fleetSnapshot().summaryBytes
+		})
+		obs.Default.GaugeFunc("analysis_dirty_traces", "traces re-ranked by the most recent incremental re-analyses across all apps", func() float64 {
+			return fleetSnapshot().dirtyTraces
+		})
 	})
 	return s, nil
 }
 
-// fleetSnap is the cached roll-up behind the fleet gauges.
+// live is the set of open services the fleet gauges roll up: one
+// process may run several (collectd -shards N runs one per shard), so
+// each gauge sums them, staleness taking the maximum, and a closed
+// service leaves the set and the gauges.
+var live = struct {
+	sync.Mutex
+	services map[*Service]struct{}
+}{services: make(map[*Service]struct{})}
+
+// registerFleetGauges registers the fleet gauges on the first New.
+var registerFleetGauges sync.Once
+
+// fleetSnapshot rolls the open services' cached snapshots up into one.
+// The set is copied first, so no service lock is taken under live's.
+func fleetSnapshot() fleetSnap {
+	live.Lock()
+	services := make([]*Service, 0, len(live.services))
+	for s := range live.services {
+		services = append(services, s)
+	}
+	live.Unlock()
+	var fs fleetSnap
+	for _, s := range services {
+		ss := s.metricsSnap()
+		fs.apps += ss.apps
+		fs.dirty += ss.dirty
+		fs.summaryKeys += ss.summaryKeys
+		fs.summaryBytes += ss.summaryBytes
+		fs.dirtyTraces += ss.dirtyTraces
+		fs.staleness = max(fs.staleness, ss.staleness)
+	}
+	return fs
+}
+
+// fleetSnap is one service's cached roll-up behind the fleet gauges.
 type fleetSnap struct {
 	apps, dirty  int
 	summaryKeys  float64
@@ -401,12 +440,27 @@ func (s *Service) flushAsync() {
 	}()
 }
 
+// etagBlock is the leaf size of the ETag's hash tree.
+const etagBlock = 1 << 20
+
 // etagFor derives the strong ETag of a serialized report snapshot: a
 // content hash, so byte-identical reports (across processes, restarts,
-// or the batch pipeline) validate against the same tag.
+// or the batch pipeline) validate against the same tag. The hash is a
+// two-level SHA-256 tree, so a multi-megabyte report hashes on every
+// CPU: each 1 MiB block of the body is hashed in parallel, and the tag
+// is the first 16 bytes of the SHA-256 of the block digests in order
+// followed by the body length as 8 big-endian bytes. The block size is
+// fixed, so the tag depends on the bytes alone.
 func etagFor(data []byte) string {
-	sum := sha256.Sum256(data)
-	return `"` + hex.EncodeToString(sum[:16]) + `"`
+	blocks := (len(data) + etagBlock - 1) / etagBlock
+	sums := make([]byte, blocks*sha256.Size, blocks*sha256.Size+8)
+	_ = parallel.ForEach(0, blocks, func(i int) error {
+		sum := sha256.Sum256(data[i*etagBlock : min((i+1)*etagBlock, len(data))])
+		copy(sums[i*sha256.Size:], sum[:])
+		return nil
+	})
+	top := sha256.Sum256(binary.BigEndian.AppendUint64(sums, uint64(len(data))))
+	return `"` + hex.EncodeToString(top[:16]) + `"`
 }
 
 // Flush synchronously re-analyzes every dirty app and installs the new
@@ -522,10 +576,14 @@ func (s *Service) installLocked(st *appState, report *core.Report, data []byte, 
 }
 
 // Close stops the debounce timer, waits for in-flight flushes, wakes
-// parked long-polls, and terminates the event stream (subscribers see
-// their channel closed). Pending dirty apps are not analyzed; callers
-// wanting a final report call Flush first.
+// parked long-polls, terminates the event stream (subscribers see
+// their channel closed) and drops the service from the fleet gauges.
+// Pending dirty apps are not analyzed; callers wanting a final report
+// call Flush first.
 func (s *Service) Close() {
+	live.Lock()
+	delete(live.services, s)
+	live.Unlock()
 	s.mu.Lock()
 	s.closed = true
 	if s.timer != nil {

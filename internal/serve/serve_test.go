@@ -2,8 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
+	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -12,6 +17,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/collect"
 	"repro/internal/core"
+	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -342,5 +348,93 @@ func TestEndToEndIngestToServe(t *testing.T) {
 	if report.TotalTraces != len(bundles) {
 		t.Fatalf("served %d traces, want %d (re-upload must not inflate the corpus)",
 			report.TotalTraces, len(bundles))
+	}
+}
+
+// TestFleetGaugesSumLiveServices: the fleet gauges roll up every open
+// service in the process, not the last one built, and a closed service
+// drops out of them.
+func TestFleetGaugesSumLiveServices(t *testing.T) {
+	b := testCorpus(t, 1, 71)[0]
+	svcs := make([]*Service, 2)
+	for i := range svcs {
+		svc, err := New(Config{Analysis: core.DefaultConfig(), Debounce: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(svc.Close)
+		svc.Notify(b)
+		svcs[i] = svc
+	}
+	gauge := func(name string) float64 {
+		t.Helper()
+		v, ok := obs.Default.Value(name)
+		if !ok {
+			t.Fatalf("gauge %s not registered", name)
+		}
+		return v
+	}
+	if got := gauge("serve_apps_tracked"); got != 2 {
+		t.Fatalf("serve_apps_tracked = %v over two services with one app each, want 2", got)
+	}
+	if got := gauge("serve_apps_dirty"); got != 2 {
+		t.Fatalf("serve_apps_dirty = %v, want 2", got)
+	}
+	svcs[0].Close()
+	if got := gauge("serve_apps_tracked"); got != 1 {
+		t.Fatalf("serve_apps_tracked = %v after closing one service, want 1", got)
+	}
+	svcs[1].Flush()
+	if got := gauge("serve_apps_dirty"); got != 0 {
+		t.Fatalf("serve_apps_dirty = %v after the open service flushed, want 0", got)
+	}
+	if got := gauge("analysis_summary_keys"); got <= 0 {
+		t.Fatalf("analysis_summary_keys = %v after a flush, want > 0", got)
+	}
+}
+
+// treeETag is the ETag definition written out serially: the first 16
+// bytes of the SHA-256 of the body's 1 MiB block digests followed by
+// the body length as 8 big-endian bytes.
+func treeETag(data []byte) string {
+	top := sha256.New()
+	for lo := 0; lo < len(data); lo += etagBlock {
+		sum := sha256.Sum256(data[lo:min(lo+etagBlock, len(data))])
+		top.Write(sum[:])
+	}
+	top.Write(binary.BigEndian.AppendUint64(nil, uint64(len(data))))
+	return `"` + hex.EncodeToString(top.Sum(nil)[:16]) + `"`
+}
+
+// TestETagDependsOnlyOnBytes: the ETag is the tree hash of the body
+// whatever the worker count, for bodies of any block count, and it
+// changes with any one byte and with the length at a block boundary.
+func TestETagDependsOnlyOnBytes(t *testing.T) {
+	body := make([]byte, 3*etagBlock+12345)
+	rand.New(rand.NewSource(5)).Read(body)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(1)
+	serial := etagFor(body)
+	runtime.GOMAXPROCS(4)
+	if got := etagFor(body); got != serial {
+		t.Fatalf("ETag at GOMAXPROCS 4 = %s, at 1 = %s", got, serial)
+	}
+	for _, n := range []int{0, 1, 100, etagBlock - 1, etagBlock, etagBlock + 1, len(body)} {
+		if got, want := etagFor(body[:n]), treeETag(body[:n]); got != want {
+			t.Errorf("%d-byte body: ETag %s, want %s", n, got, want)
+		}
+	}
+	for _, at := range []int{0, etagBlock + etagBlock/2, len(body) - 1} {
+		flipped := bytes.Clone(body)
+		flipped[at] ^= 1
+		if etagFor(flipped) == serial {
+			t.Errorf("flipping byte %d left the ETag unchanged", at)
+		}
+	}
+	for _, n := range []int{etagBlock, 2 * etagBlock} {
+		tag := etagFor(body[:n])
+		if etagFor(body[:n-1]) == tag || etagFor(body[:n+1]) == tag {
+			t.Errorf("a one-byte length change at the %d-byte block boundary left the ETag unchanged", n)
+		}
 	}
 }
